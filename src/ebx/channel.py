@@ -41,7 +41,6 @@ from .linalg import (
     herm_eig,
     is_psd,
     max_abs,
-    nullspace,
     svd_rank,
 )
 
@@ -515,19 +514,33 @@ def fixed_point_check(ch: Channel, a, tol: Tolerance = DEFAULT_TOL) -> FixedPoin
 def commutant_dimension(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CommutantReport:
     """Dimension of the commutant of the channel's range.
 
-    Solves A B = B A for all images B of matrix units, as one stacked linear
-    system in vec(A); the kernel dimension is the commutant dimension. The
-    range is irreducible exactly when only scalars commute with it.
+    The images Phi(E_ij) of the matrix units are the Choi blocks; a thin SVD
+    of their row-major flattenings gives a Hilbert-Schmidt orthonormal basis
+    B_1..B_r of the range (r <= min(d1^2, d2^2)), keeping the right singular
+    vectors above ``tol.rank_rel`` times the largest singular value. The
+    commutant is then the kernel of the stacked system A B_k = B_k A in
+    vec(A), of r blocks instead of d1^2, and its dimension is d2^2 minus the
+    system's numerical rank. That rank counts singular values above
+    ``tol.rank_rel * max(sigma_max, 1)``: the floor at 1 is the scale of the
+    unit-norm generators (each block has operator norm <= 2), so when the
+    range is the scalars the system is rounding noise, has rank 0, and the
+    dimension is d2^2. The range is irreducible exactly when only scalars
+    commute with it.
     """
-    d2 = ch.d2
+    d1, d2 = ch.d1, ch.d2
+    blocks = to_choi(ch).matrix.reshape(d1, d2, d1, d2)
+    images = blocks.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+    _, sigma, vh = np.linalg.svd(images, full_matrices=False)
+    r = int(np.count_nonzero(sigma > tol.rank_rel * sigma[0]))
     eye = np.eye(d2, dtype=complex)
-    rows = []
-    for unit in matrix_units(ch.d1):
-        b = apply(ch, unit)
-        rows.append(np.kron(eye, b.T) - np.kron(b, eye))
-    system = np.vstack(rows)
-    kernel = nullspace(system, tol)
-    dim = int(kernel.shape[1])
+    rank = 0
+    if r:
+        system = np.vstack(
+            [np.kron(eye, b.T) - np.kron(b, eye) for b in vh[:r].reshape(r, d2, d2)]
+        )
+        s = np.linalg.svd(system, compute_uv=False)
+        rank = int(np.count_nonzero(s > tol.rank_rel * max(float(s[0]), 1.0)))
+    dim = d2 * d2 - rank
     return CommutantReport(dim=dim, is_irreducible=(dim == 1))
 
 

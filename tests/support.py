@@ -12,8 +12,11 @@ from ebx import (
     CanonicalEBForm,
     Channel,
     SeededRng,
+    apply,
     herm_eig,
     kraus_channel,
+    matrix_units,
+    nullspace,
     to_choi,
 )
 
@@ -108,3 +111,30 @@ def mixed_unitary_channel(rng: SeededRng, d: int, n_terms: int,
 
 def channel_distance(a: Channel, b: Channel) -> float:
     return float(np.max(np.abs(to_choi(a).matrix - to_choi(b).matrix)))
+
+
+def reference_commutant_dimension(ch: Channel) -> int:
+    """The commutant dimension from the full stacked system.
+
+    One Kronecker block I (x) B^T - B (x) I per matrix-unit image B, all
+    d1^2 of them, and the kernel from ``nullspace``. Only a relative rank
+    cutoff applies, so when the range is the scalars the system is pure
+    rounding noise and the result is unreliable; compare elsewhere only.
+    """
+    eye = np.eye(ch.d2, dtype=complex)
+    rows = []
+    for e in matrix_units(ch.d1):
+        b = apply(ch, e)
+        rows.append(np.kron(eye, b.T) - np.kron(b, eye))
+    return int(nullspace(np.vstack(rows)).shape[1])
+
+
+def range_is_scalar(ch: Channel, tol: float = 1e-9) -> bool:
+    """Every matrix-unit image is a multiple of the identity."""
+    eye = np.eye(ch.d2)
+    for e in matrix_units(ch.d1):
+        b = apply(ch, e)
+        scalar = np.trace(b) / ch.d2
+        if np.max(np.abs(b - scalar * eye)) > tol * max(1.0, float(np.max(np.abs(b)))):
+            return False
+    return True

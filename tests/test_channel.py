@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebx import (
     DimensionMismatch,
@@ -21,15 +22,19 @@ from ebx import (
     holevo_channel,
     holevo_to_kraus,
     identity_channel,
+    is_cstar_extreme,
     kraus_channel,
     matrix_units,
     predicates,
+    random_cstar_extreme,
+    random_unital_eb,
     stinespring,
     to_choi,
 )
+from ebx import gallery
 from ebx.linalg import max_abs, svd_rank
 
-from support import unit
+from support import range_is_scalar, reference_commutant_dimension, unit
 
 
 def random_kraus_channel(rng: SeededRng, d1: int, d2: int, n: int):
@@ -314,6 +319,100 @@ def test_commutant_of_identity_channel():
     rep = commutant_dimension(identity_channel(3))
     assert rep.dim == 1
     assert rep.is_irreducible
+
+
+def as_kraus(ch):
+    return kraus_channel(choi_to_kraus(to_choi(ch)).operators)
+
+
+def test_commutant_of_scalar_range_is_everything():
+    # one block with P = I: every image is a multiple of I, so the whole of
+    # M_3 commutes with the range, in Holevo form and after a Kraus round trip
+    ch = random_cstar_extreme(SeededRng(3), 3, 3, n_blocks=1)
+    for form in (ch, as_kraus(ch)):
+        rep = commutant_dimension(form)
+        assert rep.dim == 9
+        assert not rep.is_irreducible
+
+
+def test_commutant_of_large_scalar_range_is_everything():
+    ch = random_cstar_extreme(SeededRng(3), 8, 8, n_blocks=1)
+    assert commutant_dimension(ch).dim == 64
+    assert not is_cstar_extreme(ch).is_irreducible
+
+
+def _reference_draws():
+    """500 seeded unital EB draws with d1, d2 in {2, 3, 4}, alternating
+    C*-extreme channels over every block count and random EB channels over
+    1..2*d2 terms."""
+    draws = []
+    for i in range(500):
+        rng = SeededRng(7000 + i)
+        d1, d2 = 2 + i % 3, 2 + (i // 3) % 3
+        k = i // 9
+        if i % 2 == 0:
+            draws.append(random_cstar_extreme(rng, d1, d2, n_blocks=1 + k % d2))
+        else:
+            draws.append(random_unital_eb(rng, d1, d2, n_terms=1 + k % (2 * d2)))
+    return draws
+
+
+def _gallery_channels():
+    channels = [
+        gallery.diagonal_pinching_channel(),
+        gallery.swapped_pinching_channel(),
+        gallery.two_block_pinching_channel(),
+        gallery.tetrahedral_channel(),
+        gallery.partial_averaging_channel(),
+        gallery.inflation_channel(),
+    ] + [gallery.depolarizing_channel(d) for d in (2, 3, 4)]
+    for outcome in gallery.run_all():
+        channels.extend(outcome.channels.values())
+    return channels
+
+
+def test_commutant_matches_full_stacked_system():
+    # the range-basis reduction agrees with the d1^2-block system wherever
+    # the range is not the scalars, and gives all of M_d2 where it is
+    cases = [form for ch in _reference_draws() for form in (ch, as_kraus(ch))]
+    cases += _gallery_channels()
+    scalar = 0
+    for ch in cases:
+        dim = commutant_dimension(ch).dim
+        if range_is_scalar(ch):
+            scalar += 1
+            assert dim == ch.d2 ** 2, ch.label
+        else:
+            assert dim == reference_commutant_dimension(ch), ch.label
+    assert 0 < scalar < len(cases)
+
+
+channel_kinds = st.sampled_from(["extreme", "eb"])
+representations = st.sampled_from(["holevo", "kraus", "choi"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=2, max_value=4),
+    channel_kinds,
+    representations,
+)
+def test_commutant_invariant_under_output_unitary(seed, d1, d2, kind, rep):
+    rng = SeededRng(seed)
+    size = 1 + int(rng.generator.integers(d2 if kind == "extreme" else 2 * d2))
+    if kind == "extreme":
+        ch = random_cstar_extreme(rng, d1, d2, n_blocks=size)
+    else:
+        ch = random_unital_eb(rng, d1, d2, n_terms=size)
+    if rep == "kraus":
+        ch = as_kraus(ch)
+    elif rep == "choi":
+        ch = choi_channel(to_choi(ch).matrix, d1, d2)
+    rotated = compose_ad(rng.unitary(d2), ch)
+    assert commutant_dimension(rotated) == commutant_dimension(ch)
+    assert is_cstar_extreme(rotated).is_irreducible == is_cstar_extreme(ch).is_irreducible
 
 
 # --- composition with a conjugation ---
