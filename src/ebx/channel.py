@@ -37,11 +37,11 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _psd_values,
     as_matrix,
     herm_eig,
     is_psd,
     max_abs,
-    svd_rank,
 )
 
 __all__ = [
@@ -346,10 +346,11 @@ def to_choi(ch: Channel) -> ChoiMatrix:
         # block pattern conj(w) w^T, summed via a single gram product
         w = np.stack([op.reshape(-1) for op in rep.operators])
         return ChoiMatrix(ch.d1, ch.d2, w.conj().T @ w)
+    # sum_t kron(F_t^T, R_t): block (i, j) is sum_t F_t[j, i] R_t
+    effects = np.array([f for f, _ in rep.terms], dtype=complex)
+    outputs = np.array([r for _, r in rep.terms], dtype=complex)
     n = ch.d1 * ch.d2
-    choi = np.zeros((n, n), dtype=complex)
-    for f, r in rep.terms:
-        choi += np.kron(f.T, r)
+    choi = np.einsum("tji,tkl->ikjl", effects, outputs).reshape(n, n)
     return ChoiMatrix(ch.d1, ch.d2, choi)
 
 
@@ -361,12 +362,11 @@ def choi_to_kraus(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     check (complete positivity and the existence of a Kraus form coincide).
     """
     try:
-        cp = is_psd(c.matrix, tol)
+        vals, vecs = herm_eig(c.matrix, tol)
     except NotHermitian as exc:
         raise NotCP(f"Choi matrix is not hermitian: {exc}") from exc
-    if not cp:
+    if not _psd_values(vals, tol):
         raise NotCP("Choi matrix has an eigenvalue below the psd floor")
-    vals, vecs = herm_eig(c.matrix, tol)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     keep = [k for k, v in enumerate(vals) if v > tol.rank_rel * scale]
     if not keep:
@@ -406,9 +406,9 @@ def _psd_rank_one_split(m: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
     """Vectors v_k with m = sum |v_k><v_k|; empty for the zero matrix."""
     from .errors import NotPSD
 
-    if not is_psd(m, tol):
-        raise NotPSD("ensemble member has an eigenvalue below the psd floor")
     vals, vecs = herm_eig(m, tol)
+    if not _psd_values(vals, tol):
+        raise NotPSD("ensemble member has an eigenvalue below the psd floor")
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     out = []
     for k, v in enumerate(vals):
@@ -432,12 +432,17 @@ def adjoint(ch: Channel) -> Channel:
     return Channel(ch.d2, ch.d1, ChoiMatrix(ch.d2, ch.d1, adj), label=label)
 
 
+def _is_unital(ch: Channel, tol: Tolerance) -> bool:
+    """Phi(I) = I within eq_abs; for callers that need no other predicate."""
+    return max_abs(apply(ch, np.eye(ch.d1)) - np.eye(ch.d2)) <= tol.eq_abs
+
+
 def predicates(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> ChannelPredicates:
     """Complete positivity, unitality, trace preservation, hermiticity preservation."""
     choi = to_choi(ch).matrix
     hp = max_abs(choi - choi.conj().T) <= tol.eq_abs
     cp = bool(hp and is_psd(choi, tol))
-    unital = max_abs(apply(ch, np.eye(ch.d1)) - np.eye(ch.d2)) <= tol.eq_abs
+    unital = _is_unital(ch, tol)
     blocks = choi.reshape(ch.d1, ch.d2, ch.d1, ch.d2)
     block_traces = np.einsum("ikjk->ij", blocks)
     tp = max_abs(block_traces - np.eye(ch.d1)) <= tol.eq_abs

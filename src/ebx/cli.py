@@ -46,7 +46,7 @@ from .separability import (
     random_unital_eb,
     rank_bounds,
 )
-from .serialize import _encode_matrix, channel_to_json, load_channel, save_channel
+from .serialize import _encode_matrix, _encode_scalar, channel_to_json, load_channel, save_channel
 
 __all__ = ["main"]
 
@@ -89,19 +89,12 @@ def _canonical_to_json(form: CanonicalEBForm) -> dict:
         "block_ranks": list(form.block_ranks()),
         "blocks": [
             {
-                "state": [_re_im(z) for z in u],
+                "state": [_encode_scalar(complex(z)) for z in u],
                 "projection": _encode_matrix(p),
             }
             for u, p in form.blocks
         ],
     }
-
-
-def _re_im(z: complex):
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .channel import (
     Channel,
     HolevoEnsemble,
     KrausSet,
+    _is_unital,
     _kraus_ops,
     apply,
     matrix_units,
@@ -97,7 +98,7 @@ def evaluate(comb: CStarCombination, tol: Tolerance = DEFAULT_TOL) -> Channel:
             f"{max_abs(gram - np.eye(comb.d2)):.3e}"
         )
     for _, ch in comb.terms:
-        if not predicates(ch, tol).is_unital:
+        if not _is_unital(ch, tol):
             raise NotUnital("every factor in a combination must be unital")
 
     all_holevo = all(

@@ -24,14 +24,13 @@ import numpy as np
 from .channel import (
     Channel,
     HolevoEnsemble,
-    KrausSet,
+    _is_unital,
+    _kraus_ops,
     adjoint,
     apply,
     choi_channel,
-    choi_to_kraus,
     commutant_dimension,
     hermitian_basis,
-    matrix_units,
     predicates,
     to_choi,
 )
@@ -52,7 +51,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    as_matrix,
     herm_eig,
     is_psd,
     max_abs,
@@ -234,14 +232,14 @@ def extract_canonical(
     resulting form reproduces the channel.
 
     Raises NotExtreme at whichever step fails; for channels that are not
-    C*-extreme this is the expected outcome, not an error condition.
+    C*-extreme this is the expected outcome, not an error condition. The
+    preconditions come first, each checked once: ``eb_verdict`` raises
+    NotCP, then NotUnital, then NotEB for a verdict of "no".
     """
-    p = predicates(ch, tol)
-    if not p.is_cp:
-        raise NotCP("canonical extraction needs a completely positive channel")
-    if not p.is_unital:
+    verdict = eb_verdict(ch, tol)
+    if not _is_unital(ch, tol):
         raise NotUnital("canonical extraction needs a unital channel")
-    if eb_verdict(ch, tol).is_eb == "no":
+    if verdict.is_eb == "no":
         raise NotEB("channel is certified not entanglement breaking")
     gen = (rng or SeededRng(_EXTRACTION_SEED)).generator
 
@@ -289,16 +287,26 @@ def extract_canonical(
     return form
 
 
+def _choi_deviation(
+    b: Channel, a: Channel, left: np.ndarray | None = None, right: np.ndarray | None = None
+) -> float:
+    """max_abs(C_b - (I (x) L) C_a (I (x) R)): the largest entry of
+    Psi_b(E_ij) - L Phi_a(E_ij) R over all matrix units, since block (i, j)
+    of a Choi matrix is the image of E_ij. L and R default to the identity."""
+    d1, d2 = a.d1, a.d2
+    images = to_choi(a).matrix.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
+    if left is not None:
+        images = left @ images
+    if right is not None:
+        images = images @ right
+    return max_abs(to_choi(b).matrix - images.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2))
+
+
 def _verify_canonical_against(
     form: CanonicalEBForm, ch: Channel, tol: Tolerance
 ) -> None:
     _check_form_invariants(form, tol, failure=NotExtreme)
-    dev = 0.0
-    for unit in matrix_units(form.d1):
-        rebuilt = sum(
-            np.vdot(u, unit @ u) * p for u, p in form.blocks
-        )
-        dev = max(dev, max_abs(rebuilt - apply(ch, unit)))
+    dev = _choi_deviation(ch, reconstruct(form))
     if dev > 10 * tol.eq_abs:
         raise NotExtreme(f"canonical form does not reproduce the channel (dev {dev:.3e})")
 
@@ -344,16 +352,9 @@ def is_cstar_extreme(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> ExtremalityRe
     The primary criterion is Choi rank equal to d2; canonical extraction is
     run as an independent cross-check and must agree (success exactly when
     the rank criterion holds), otherwise InternalInconsistency is raised.
+    The preconditions are checked once, by ``extract_canonical``, which runs
+    first: NotCP, NotUnital and NotEB come from there.
     """
-    p = predicates(ch, tol)
-    if not p.is_cp:
-        raise NotCP("extremality analysis needs a completely positive channel")
-    if not p.is_unital:
-        raise NotUnital("extremality analysis needs a unital channel")
-    if eb_verdict(ch, tol).is_eb == "no":
-        raise NotEB("channel is certified not entanglement breaking")
-    choi_rank = svd_rank(to_choi(ch).matrix, tol)
-    rank_extreme = choi_rank == ch.d2
     form: CanonicalEBForm | None
     try:
         form = extract_canonical(ch, tol)
@@ -361,6 +362,8 @@ def is_cstar_extreme(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> ExtremalityRe
     except NotExtreme as exc:
         form = None
         extraction_note = str(exc)
+    choi_rank = svd_rank(to_choi(ch).matrix, tol)
+    rank_extreme = choi_rank == ch.d2
     if (form is not None) != rank_extreme:
         raise InternalInconsistency(
             f"rank criterion (choi_rank={choi_rank}, d2={ch.d2}) and canonical "
@@ -483,9 +486,7 @@ def rn_derivative(
                     "Psi(I) has cross terms between canonical blocks"
                 )
 
-    residual = 0.0
-    for unit in matrix_units(canonical.d1):
-        residual = max(residual, max_abs(apply(psi, unit) - apply(phi, unit) @ r))
+    residual = _choi_deviation(psi, phi, right=r)
     if residual > 100 * tol.eq_abs:
         raise VerificationFailed(
             f"Psi does not factor as Phi(.) R (residual {residual:.3e})"
@@ -569,11 +570,7 @@ def arveson_derivative(
     the least-squares solution is one valid representative.
     """
     _check_same_dims(phi, psi)
-    rep = phi.representation
-    if isinstance(rep, KrausSet):
-        ops = rep.operators
-    else:
-        ops = choi_to_kraus(to_choi(phi), tol).operators
+    ops = _kraus_ops(phi, tol)
     if not dominates_cp(phi, psi, tol):
         raise PreconditionDomination("phi does not dominate psi in the CP order")
     # frame vector of V is the conjugated row-major flattening, so that
@@ -625,9 +622,7 @@ def extremality_witness(
     if svd_rank(barycenter, tol) < canonical.d2:
         raise NotInvertible("Psi(I) is numerically singular")
     z = psd_sqrt(barycenter, tol)
-    dev = 0.0
-    for unit in matrix_units(canonical.d1):
-        dev = max(dev, max_abs(apply(psi, unit) - z @ apply(phi, unit) @ z))
+    dev = _choi_deviation(psi, phi, z, z)
     if dev > 100 * tol.eq_abs:
         raise VerificationFailed(
             f"Ad_Z composed with the canonical channel does not equal Psi "
@@ -682,11 +677,7 @@ def unitary_equivalent(
         qa = _range_basis(a.projections[i], ranks_a[i], tol)
         qb = _range_basis(b.projections[j], ranks_b[j], tol)
         u += qa @ qb.conj().T
-    cha = reconstruct(a)
-    chb = reconstruct(b)
-    dev = 0.0
-    for unit in matrix_units(a.d1):
-        dev = max(dev, max_abs(apply(chb, unit) - u.conj().T @ apply(cha, unit) @ u))
+    dev = _choi_deviation(reconstruct(b), reconstruct(a), u.conj().T, u)
     if dev > 100 * tol.eq_abs:
         return EquivalenceCheck(equivalent=False, witness_unitary=None)
     return EquivalenceCheck(equivalent=True, witness_unitary=u)

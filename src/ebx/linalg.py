@@ -101,12 +101,11 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(h)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            pivot = col[nz[0]]
-            vecs[:, j] = col * (abs(pivot) / pivot)
+    mask = np.abs(vecs) > 1e-12
+    cols = np.flatnonzero(mask.any(axis=0))
+    pivots = vecs[mask.argmax(axis=0)[cols], cols]
+    # scalar division per pivot: the ufunc rounds differently in the last bit
+    vecs[:, cols] *= np.array([abs(p) / p for p in pivots], dtype=complex)
     return vals, vecs
 
 
@@ -123,11 +122,16 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Positive semidefiniteness up to a relative floor.
 
     True when the smallest eigenvalue is >= -psd_floor * max(|eigenvalues|, 1).
-    Raises NotHermitian for input that is not hermitian within eq_abs.
+    Raises NotHermitian for input that is not hermitian within eq_abs. Only
+    the eigenvalues are computed: no eigenvectors, no phase fix.
     """
-    vals, _ = herm_eig(m, tol)
+    return _psd_values(np.linalg.eigvalsh(_require_hermitian(as_matrix(m), tol)), tol)
+
+
+def _psd_values(vals: np.ndarray, tol: Tolerance) -> bool:
+    """The is_psd decision from a hermitian matrix's eigenvalues."""
     scale = max(float(np.max(np.abs(vals))), 1.0) if vals.size else 1.0
-    return bool(vals[-1] >= -tol.psd_floor * scale)
+    return bool(vals.min() >= -tol.psd_floor * scale)
 
 
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -136,10 +140,9 @@ def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues within the psd floor below zero are clamped to zero before
     rooting; anything more negative raises NotPSD.
     """
-    a = as_matrix(m)
-    if not is_psd(a, tol):
+    vals, vecs = herm_eig(m, tol)
+    if not _psd_values(vals, tol):
         raise NotPSD("matrix has an eigenvalue below the psd floor")
-    vals, vecs = herm_eig(a, tol)
     vals = np.clip(vals, 0.0, None)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return _sym(root)

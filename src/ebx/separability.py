@@ -19,12 +19,12 @@ import numpy as np
 from .channel import (
     Channel,
     HolevoEnsemble,
+    _is_unital,
     holevo_to_kraus,
-    predicates,
     to_choi,
 )
 from .errors import DegenerateDraw, NotCP, NotEB, NotHermitian
-from .linalg import DEFAULT_TOL, Tolerance, herm_eig, is_psd, max_abs, svd_rank
+from .linalg import DEFAULT_TOL, Tolerance, herm_eig, is_psd, svd_rank
 from .rng import SeededRng
 
 __all__ = [
@@ -87,7 +87,11 @@ def is_ppt(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def eb_verdict(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> EBVerdict:
-    """Three-valued entanglement-breaking decision for a CP channel."""
+    """Three-valued entanglement-breaking decision for a CP channel.
+
+    One psd check of the Choi matrix (NotCP when it fails) and one of its
+    partial transpose, whose entries are a permutation of the Choi matrix's.
+    """
     choi = to_choi(ch).matrix
     try:
         cp = is_psd(choi, tol)
@@ -95,7 +99,7 @@ def eb_verdict(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> EBVerdict:
         raise NotCP(f"Choi matrix is not hermitian: {exc}") from exc
     if not cp:
         raise NotCP("channel is not completely positive")
-    ppt = is_ppt(ch, tol)
+    ppt = is_psd(partial_transpose_choi(choi, ch.d1, ch.d2), tol)
     cert = ch.holevo_certificate
     if cert is not None:
         return EBVerdict(ppt=ppt, conclusive=True, is_eb="yes", certificate=cert)
@@ -135,7 +139,7 @@ def rank_bounds(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> RankBounds:
         upper = len(refined.operators)
     else:
         upper = (ch.d1 * ch.d2) ** 2
-    if choi_rank == ch.d2 and predicates(ch, tol).is_unital:
+    if choi_rank == ch.d2 and _is_unital(ch, tol):
         lower = upper = ch.d2
     return RankBounds(
         choi_rank=choi_rank, eb_rank_lower=lower, eb_rank_upper=max(upper, lower)

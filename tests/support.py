@@ -113,6 +113,37 @@ def channel_distance(a: Channel, b: Channel) -> float:
     return float(np.max(np.abs(to_choi(a).matrix - to_choi(b).matrix)))
 
 
+def reference_choi_deviation(b: Channel, a: Channel, left=None, right=None) -> float:
+    """max over matrix units E of |Psi_b(E) - L Phi_a(E) R|, one apply per
+    unit; the loop the Choi-block helper in ``ebx.extremality`` replaced."""
+    eye = np.eye(a.d2, dtype=complex)
+    left = eye if left is None else left
+    right = eye if right is None else right
+    return max(
+        float(np.max(np.abs(apply(b, e) - left @ apply(a, e) @ right)))
+        for e in matrix_units(a.d1)
+    )
+
+
+def reference_herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig`` with its phase fixed one column at a time.
+
+    The library finds the pivots of all columns at once; the result must
+    match this loop bit for bit, since the eigenvectors reach JSON output.
+    """
+    h = np.asarray(m, dtype=complex)
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            pivot = col[nz[0]]
+            vecs[:, j] = col * (abs(pivot) / pivot)
+    return vals, vecs
+
+
 def reference_commutant_dimension(ch: Channel) -> int:
     """The commutant dimension from the full stacked system.
 

@@ -15,6 +15,7 @@ from ebx import (
     PreconditionDomination,
     SeededRng,
     StructureViolation,
+    VerificationFailed,
     apply,
     arveson_derivative,
     channel_from_map,
@@ -46,6 +47,7 @@ from ebx.gallery import (
     tetrahedral_channel,
     two_block_pinching_channel,
 )
+from ebx.extremality import _choi_deviation
 from ebx.linalg import max_abs, psd_sqrt
 
 from support import (
@@ -53,6 +55,7 @@ from support import (
     channel_distance,
     random_canonical_form,
     random_invertible_contraction,
+    reference_choi_deviation,
     unit,
 )
 
@@ -557,3 +560,77 @@ def test_multiblock_forms_have_nontrivial_commutant():
 def test_single_output_dimension_is_irreducible():
     ch = holevo_channel([(E2 / 2.0, np.eye(1, dtype=complex))])
     assert commutant_dimension(ch).is_irreducible
+
+
+# --- the Choi-block map comparison ---
+
+
+def _random_channels(rng: SeededRng, d1: int, d2: int):
+    """One random map per representation: Kraus, Choi and Holevo."""
+    kraus = kraus_channel([rng.complex_normal((d1, d2)) for _ in range(3)])
+    choi = choi_channel(rng.complex_normal((d1 * d2, d1 * d2)), d1, d2)
+    holevo = holevo_channel([(rng.psd(d1), rng.hermitian(d2)) for _ in range(2)])
+    return [kraus, choi, holevo]
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 3), (2, 2), (3, 2), (2, 4)])
+def test_choi_deviation_matches_matrix_unit_loop(d1, d2):
+    rng = SeededRng(70 + 10 * d1 + d2)
+    for a in _random_channels(rng, d1, d2):
+        for b in _random_channels(rng, d1, d2):
+            left = rng.complex_normal((d2, d2))
+            right = rng.complex_normal((d2, d2))
+            for lr in [(None, None), (left, None), (None, right), (left, right)]:
+                got = _choi_deviation(b, a, *lr)
+                assert abs(got - reference_choi_deviation(b, a, *lr)) <= 1e-13
+
+
+def test_choi_deviation_is_zero_on_a_conjugated_copy():
+    rng = SeededRng(77)
+    for a in _random_channels(rng, 2, 3):
+        t = rng.complex_normal((3, 3))
+        b = compose_ad(t, a)
+        assert _choi_deviation(b, a, t.conj().T, t) <= 1e-12
+        assert _choi_deviation(b, a) > 1e-3
+
+
+def _entangled_dominated_psi():
+    """A CP map under the two-block canonical channel that is not Phi(.) R.
+
+    Its Choi matrix is |w><w| / 2 on w = e0 (x) e0 + e2 (x) e2 plus
+    |e0 (x) e1><e0 (x) e1| / 2, below the canonical Choi matrix (the
+    identity on that support), with Psi(I) = I / 2 but Psi(E_02) = E_02 / 2
+    while Phi(E_02) = 0.
+    """
+    w = np.zeros(9, dtype=complex)
+    w[0] = w[8] = 1.0
+    c = np.outer(w, w) / 2.0
+    c[1, 1] = 0.5
+    return choi_channel(c, 3, 3)
+
+
+def test_rn_derivative_rejects_a_dominated_map_that_does_not_factor():
+    form = two_block_form()
+    psi = _entangled_dominated_psi()
+    assert dominates_cp(reconstruct(form), psi)
+    with pytest.raises(VerificationFailed, match="does not factor"):
+        rn_derivative(form, psi)
+
+
+def test_witness_rejects_a_dominated_map_that_is_not_a_conjugate():
+    form = two_block_form()
+    with pytest.raises(VerificationFailed, match="does not equal Psi"):
+        extremality_witness(form, _entangled_dominated_psi())
+
+
+def test_equivalence_rejects_a_slightly_rotated_state():
+    # the states still match within the state tolerance (1 - |<u, u'>| is
+    # about 5e-11), but the channels differ by about 1e-5, so the assembled
+    # witness must fail the verification on the Choi blocks
+    a = pinching_form()
+    eps = 1e-5
+    tilted = np.array([np.cos(eps), np.sin(eps)], dtype=complex)
+    b = CanonicalEBForm(2, 2, ((tilted, unit(2, 0, 0)), (E2[:, 1], unit(2, 1, 1))))
+    check = unitary_equivalent(a, b)
+    assert not check.equivalent
+    assert check.witness_unitary is None

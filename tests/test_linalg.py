@@ -20,6 +20,8 @@ from ebx import (
     svd_rank,
 )
 
+from support import reference_herm_eig
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -86,6 +88,26 @@ def test_herm_eig_rejects_non_hermitian():
         herm_eig(np.zeros((2, 3)))
 
 
+def _herm_eig_inputs():
+    """Seeded hermitian, real diagonal (with repeats) and projection inputs,
+    d = 1..9; projections put exact zeros and ties into the eigenvectors."""
+    rng = SeededRng(2024)
+    for d in range(1, 10):
+        for k in range(60):
+            yield rng.hermitian(d)
+            yield np.diag(rng.generator.integers(-2, 3, d).astype(float))
+            q = rng.unitary(d)[:, : 1 + k % d]
+            yield q @ q.conj().T
+
+
+def test_herm_eig_matches_per_column_reference_bit_for_bit():
+    for m in _herm_eig_inputs():
+        vals, vecs = herm_eig(m)
+        ref_vals, ref_vecs = reference_herm_eig(m)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seeds)
 def test_herm_eig_reconstruction_property(seed):
@@ -123,6 +145,33 @@ def test_is_psd():
     assert not is_psd(np.diag([1.0, -1e-6]))
     with pytest.raises(NotHermitian):
         is_psd(np.array([[0, 1], [0, 0]], dtype=float))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(psd_floor=1e-6)])
+@pytest.mark.parametrize("top", [0.5, 1.0, 40.0])
+@pytest.mark.parametrize("factor", [0.5, -0.5, 2.0, -2.0])
+def test_is_psd_near_its_threshold(tol, top, factor):
+    """Smallest eigenvalue at +-0.5x and +-2x the floor psd_floor * scale:
+    the eigenvalue-only check decides as the eigenvector-based one did."""
+    rng = SeededRng(31)
+    for d in (2, 3, 5, 8):
+        scale = max(top, 1.0)
+        spectrum = np.linspace(top, top / 4, d)
+        spectrum[-1] = factor * tol.psd_floor * scale
+        q = rng.unitary(d)
+        m = (q * spectrum) @ q.conj().T
+        ref_vals, _ = reference_herm_eig(m)
+        expected = ref_vals[-1] >= -tol.psd_floor * max(np.max(np.abs(ref_vals)), 1.0)
+        assert is_psd(m, tol) == expected == (factor > -1.0)
+
+
+def test_is_psd_still_rejects_non_hermitian_input():
+    m = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    m[0, 2] = 1e-6
+    with pytest.raises(NotHermitian):
+        is_psd(m)
+    with pytest.raises(NotHermitian):
+        is_psd(np.zeros((2, 3)))
 
 
 def test_psd_sqrt_squares_back_and_commutes():
