@@ -516,6 +516,25 @@ def fixed_point_check(ch: Channel, a, tol: Tolerance = DEFAULT_TOL) -> FixedPoin
     return FixedPointCheck(is_fixed=bool(is_fixed), commutes_with_all_kraus=bool(commutes))
 
 
+def _commutator_system(basis: np.ndarray) -> np.ndarray:
+    """The stacked blocks I (x) B_k^T - B_k (x) I of an (r, d, d) stack.
+
+    Written in place into one (r, d, d, d, d) array, whose entry
+    (k, a, p, c, q) is I[a, c] B_k[q, p] - B_k[a, c] I[p, q]: every
+    I (x) B_k^T in one broadcast product, then B_k (x) I subtracted one
+    d-slab at a time. Each entry is formed by the same complex products and
+    subtraction as in ``np.kron``, so the (r d^2, d^2) result equals the
+    per-block kron stack bit for bit, signed zeros included.
+    """
+    r, d, _ = basis.shape
+    eye = np.eye(d, dtype=complex)
+    system = np.empty((r, d, d, d, d), dtype=complex)
+    np.multiply(eye[:, None, :, None], basis.transpose(0, 2, 1)[:, None, :, None, :], out=system)
+    for p in range(d):
+        system[:, :, p] -= basis[:, :, :, None] * eye[p]
+    return system.reshape(r * d * d, d * d)
+
+
 def commutant_dimension(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CommutantReport:
     """Dimension of the commutant of the channel's range.
 
@@ -523,9 +542,11 @@ def commutant_dimension(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CommutantR
     of their row-major flattenings gives a Hilbert-Schmidt orthonormal basis
     B_1..B_r of the range (r <= min(d1^2, d2^2)), keeping the right singular
     vectors above ``tol.rank_rel`` times the largest singular value. The
-    commutant is then the kernel of the stacked system A B_k = B_k A in
-    vec(A), of r blocks instead of d1^2, and its dimension is d2^2 minus the
-    system's numerical rank. That rank counts singular values above
+    commutant is then the kernel of the system A B_k = B_k A in vec(A): r
+    blocks I (x) B_k^T - B_k (x) I instead of d1^2, filled in place into one
+    preallocated array (``_commutator_system``) rather than built by a kron
+    pair per block. Its dimension is d2^2 minus the system's numerical rank.
+    That rank counts singular values above
     ``tol.rank_rel * max(sigma_max, 1)``: the floor at 1 is the scale of the
     unit-norm generators (each block has operator norm <= 2), so when the
     range is the scalars the system is rounding noise, has rank 0, and the
@@ -537,12 +558,9 @@ def commutant_dimension(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CommutantR
     images = blocks.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
     _, sigma, vh = np.linalg.svd(images, full_matrices=False)
     r = int(np.count_nonzero(sigma > tol.rank_rel * sigma[0]))
-    eye = np.eye(d2, dtype=complex)
     rank = 0
     if r:
-        system = np.vstack(
-            [np.kron(eye, b.T) - np.kron(b, eye) for b in vh[:r].reshape(r, d2, d2)]
-        )
+        system = _commutator_system(vh[:r].reshape(r, d2, d2))
         s = np.linalg.svd(system, compute_uv=False)
         rank = int(np.count_nonzero(s > tol.rank_rel * max(float(s[0]), 1.0)))
     dim = d2 * d2 - rank

@@ -51,6 +51,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _sym,
     herm_eig,
     is_psd,
     max_abs,
@@ -190,8 +191,7 @@ def _joint_eigenspaces(
         return [np.eye(d, dtype=complex)]
     for _attempt in range(8):
         coeffs = gen.standard_normal(len(mats))
-        combo = sum(c * m for c, m in zip(coeffs, mats))
-        combo = (combo + combo.conj().T) / 2
+        combo = _sym(sum(c * m for c, m in zip(coeffs, mats)))
         vals, vecs = np.linalg.eigh(combo)
         scale = max(1.0, float(np.max(np.abs(vals))))
         gap = 1e-7 * scale
@@ -209,9 +209,7 @@ def _joint_eigenspaces(
             if hi - lo == 1:
                 out.append(q)
                 continue
-            restricted = [
-                (q.conj().T @ m @ q + (q.conj().T @ m @ q).conj().T) / 2 for m in mats
-            ]
+            restricted = [_sym(q.conj().T @ m @ q) for m in mats]
             out.extend(q @ sub for sub in _joint_eigenspaces(restricted, gen, tol))
         return out
     raise NotExtreme(
@@ -220,15 +218,39 @@ def _joint_eigenspaces(
     )
 
 
+def _check_commutative(images: np.ndarray, tol: Tolerance) -> None:
+    """Raise NotExtreme unless a stack of n hermitian images commutes.
+
+    Pair i < j fails when max_abs(A_i A_j - A_j A_i) exceeds
+    ``tol.eq_abs * max(1, max_abs(A_i) * max_abs(A_j))``. Row i takes its
+    commutators with A_{i+1}, ..., A_{n-1} in one batched product, so there
+    are n - 1 rows of numpy work instead of n(n-1)/2 pairs, and never more
+    than one row of commutators in memory. The first failing pair in (i, j)
+    order is the one reported.
+    """
+    scales = np.abs(images).max(axis=(1, 2))
+    for i in range(len(images) - 1):
+        a, rest = images[i], images[i + 1:]
+        dev = np.abs(a @ rest - rest @ a).max(axis=(1, 2))
+        bound = tol.eq_abs * np.maximum(1.0, scales[i] * scales[i + 1:])
+        failing = np.flatnonzero(dev > bound)
+        if failing.size:
+            raise NotExtreme(
+                f"range is not commutative (commutator deviation {dev[failing[0]]:.3e})"
+            )
+
+
 def extract_canonical(
     ch: Channel, tol: Tolerance = DEFAULT_TOL, rng: SeededRng | None = None
 ) -> CanonicalEBForm:
     """Extract the block form (u_i, P_i) of a C*-extreme channel.
 
-    Steps: check the range is commutative; jointly diagonalize the images of
-    a hermitian basis; pull each joint eigenvector v back through the adjoint
-    to the state D = Phi^*(|v><v|), which must be a rank-one density matrix;
-    group eigenvectors whose states coincide into blocks; verify the
+    Steps: check the range is commutative, with the d1^2 images of a
+    hermitian basis stacked once and each image's commutators with the later
+    ones taken in one batched product (``_check_commutative``); jointly
+    diagonalize those images; pull each joint eigenvector v back through the
+    adjoint to the state D = Phi^*(|v><v|), which must be a rank-one density
+    matrix; group eigenvectors whose states coincide into blocks; verify the
     resulting form reproduces the channel.
 
     Raises NotExtreme at whichever step fails; for channels that are not
@@ -243,17 +265,8 @@ def extract_canonical(
         raise NotEB("channel is certified not entanglement breaking")
     gen = (rng or SeededRng(_EXTRACTION_SEED)).generator
 
-    images = []
-    for h in hermitian_basis(ch.d1):
-        img = apply(ch, h)
-        images.append((img + img.conj().T) / 2)
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            dev = max_abs(images[i] @ images[j] - images[j] @ images[i])
-            if dev > tol.eq_abs * max(1.0, max_abs(images[i]) * max_abs(images[j])):
-                raise NotExtreme(
-                    f"range is not commutative (commutator deviation {dev:.3e})"
-                )
+    images = [_sym(apply(ch, h)) for h in hermitian_basis(ch.d1)]
+    _check_commutative(np.array(images), tol)
 
     eigenspaces = _joint_eigenspaces(images, gen, tol)
     adj = adjoint(ch)
@@ -261,8 +274,7 @@ def extract_canonical(
     for q in eigenspaces:
         for k in range(q.shape[1]):
             v = q[:, k]
-            density = apply(adj, np.outer(v, v.conj()))
-            density = (density + density.conj().T) / 2
+            density = _sym(apply(adj, np.outer(v, v.conj())))
             if svd_rank(density, tol) != 1:
                 raise NotExtreme("an induced state is not pure (rank > 1)")
             if abs(np.trace(density) - 1.0) > tol.eq_abs:
@@ -466,8 +478,7 @@ def rn_derivative(
         raise PreconditionDomination(
             "the canonical channel does not dominate psi in the CP order"
         )
-    r = apply(psi, np.eye(canonical.d1))
-    r = (r + r.conj().T) / 2
+    r = _sym(apply(psi, np.eye(canonical.d1)))
 
     vals, _ = herm_eig(r, tol)
     floor = tol.psd_floor * max(1.0, float(np.max(np.abs(vals))))
@@ -578,8 +589,7 @@ def arveson_derivative(
     w = np.stack([op.conj().reshape(-1) for op in ops], axis=1)
     c_psi = to_choi(psi).matrix
     w_pinv = pinv(w, tol)
-    t = w_pinv @ c_psi @ w_pinv.conj().T
-    t = (t + t.conj().T) / 2
+    t = _sym(w_pinv @ c_psi @ w_pinv.conj().T)
     residual = max_abs(w @ t @ w.conj().T - c_psi)
     if residual > 1e-8 * (1.0 + max_abs(c_psi)):
         raise VerificationFailed(
@@ -594,8 +604,7 @@ def arveson_derivative(
             f"(eigenvalues in [{vals[-1]:.3e}, {vals[0]:.3e}])"
         )
     clamped = np.clip(vals, 0.0, 1.0)
-    t = (vecs * clamped) @ vecs.conj().T
-    t = (t + t.conj().T) / 2
+    t = _sym((vecs * clamped) @ vecs.conj().T)
     return ArvesonDerivative(T=t, residual=float(residual))
 
 
@@ -617,8 +626,7 @@ def extremality_witness(
         raise PreconditionDomination(
             "the canonical channel does not dominate psi in the CP order"
         )
-    barycenter = apply(psi, np.eye(canonical.d1))
-    barycenter = (barycenter + barycenter.conj().T) / 2
+    barycenter = _sym(apply(psi, np.eye(canonical.d1)))
     if svd_rank(barycenter, tol) < canonical.d2:
         raise NotInvertible("Psi(I) is numerically singular")
     z = psd_sqrt(barycenter, tol)

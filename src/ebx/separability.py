@@ -24,7 +24,7 @@ from .channel import (
     to_choi,
 )
 from .errors import DegenerateDraw, NotCP, NotEB, NotHermitian
-from .linalg import DEFAULT_TOL, Tolerance, herm_eig, is_psd, svd_rank
+from .linalg import DEFAULT_TOL, Tolerance, _sym, herm_eig, is_psd, svd_rank
 from .rng import SeededRng
 
 __all__ = [
@@ -167,7 +167,7 @@ def random_unital_eb(
             continue
         inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
         outputs = [inv_root @ a @ inv_root for a in raw]
-        outputs = [(r + r.conj().T) / 2 for r in outputs]
+        outputs = [_sym(r) for r in outputs]
         states = [rng.unit_vector(d1) for _ in range(n_terms)]
         terms = tuple(
             (np.outer(u, u.conj()), r) for u, r in zip(states, outputs)
@@ -217,7 +217,7 @@ def random_cstar_extreme(
                 f"could not draw {n_blocks} pairwise-distinct pure states in C^{d1}"
             )
     terms = tuple(
-        (np.outer(u, u.conj()), (p + p.conj().T) / 2)
+        (np.outer(u, u.conj()), _sym(p))
         for u, p in zip(states, projections)
     )
     return Channel(

@@ -11,9 +11,11 @@ import numpy as np
 from ebx import (
     CanonicalEBForm,
     Channel,
+    EbxError,
     SeededRng,
     apply,
     herm_eig,
+    is_cstar_extreme,
     kraus_channel,
     matrix_units,
     nullspace,
@@ -169,3 +171,47 @@ def range_is_scalar(ch: Channel, tol: float = 1e-9) -> bool:
         if np.max(np.abs(b - scalar * eye)) > tol * max(1.0, float(np.max(np.abs(b)))):
             return False
     return True
+
+
+def reference_first_noncommuting(images, eq_abs: float = 1e-9):
+    """The pairwise commutativity loop ``extract_canonical`` once ran.
+
+    Returns (i, j, deviation) for the first pair in (i, j) order whose
+    commutator exceeds eq_abs * max(1, max_abs(A_i) * max_abs(A_j)), or
+    None when every pair commutes. The batched check must agree.
+    """
+
+    def size(m) -> float:
+        return float(np.max(np.abs(m)))
+
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            dev = size(images[i] @ images[j] - images[j] @ images[i])
+            if dev > eq_abs * max(1.0, size(images[i]) * size(images[j])):
+                return i, j, dev
+    return None
+
+
+def reference_commutator_system(basis) -> np.ndarray:
+    """The stacked kron blocks I (x) B^T - B (x) I, one pair per B."""
+    eye = np.eye(basis.shape[1], dtype=complex)
+    return np.vstack([np.kron(eye, b.T) - np.kron(b, eye) for b in basis])
+
+
+def reference_factor_diagnostics(comb, tol) -> tuple[bool, tuple[str, ...]]:
+    """(all_factors_extreme, factor_diagnostics) of ``verify_decomposition``
+    from one ``is_cstar_extreme`` call per term, repeats included."""
+    all_extreme = True
+    diagnostics = []
+    for k, (_, factor) in enumerate(comb.terms):
+        try:
+            report = is_cstar_extreme(factor, tol)
+            if not report.is_cstar_extreme:
+                all_extreme = False
+                diagnostics.append(
+                    f"factor {k}: not C*-extreme (choi rank {report.choi_rank})"
+                )
+        except EbxError as exc:
+            all_extreme = False
+            diagnostics.append(f"factor {k}: {type(exc).__name__}: {exc}")
+    return all_extreme, tuple(diagnostics)

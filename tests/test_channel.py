@@ -32,9 +32,15 @@ from ebx import (
     to_choi,
 )
 from ebx import gallery
+from ebx.channel import _commutator_system
 from ebx.linalg import max_abs, svd_rank
 
-from support import range_is_scalar, reference_commutant_dimension, unit
+from support import (
+    range_is_scalar,
+    reference_commutant_dimension,
+    reference_commutator_system,
+    unit,
+)
 
 
 def random_kraus_channel(rng: SeededRng, d1: int, d2: int, n: int):
@@ -385,6 +391,33 @@ def test_commutant_matches_full_stacked_system():
         else:
             assert dim == reference_commutant_dimension(ch), ch.label
     assert 0 < scalar < len(cases)
+
+
+def _commutant_bases(rng: SeededRng, d: int):
+    """(r, d, d) stacks for r in {1, 2, d, d^2}: orthonormal rows of a thin
+    SVD, as commutant_dimension uses, and sparse ones whose exact and signed
+    zeros and -1 entries exercise the zero products of the kron blocks."""
+    for r in sorted({1, min(2, d * d), d, d * d}):
+        raw = rng.complex_normal((r, d * d))
+        yield np.linalg.svd(raw, full_matrices=False)[2].reshape(r, d, d)
+        sparse = rng.complex_normal((r, d, d))
+        gen = rng.generator
+        sparse[gen.random(sparse.shape) < 0.4] = 0.0
+        sparse.real[gen.random(sparse.shape) < 0.3] = -0.0
+        sparse.imag[gen.random(sparse.shape) < 0.3] = -0.0
+        sparse[gen.random(sparse.shape) < 0.1] = -1.0
+        yield sparse
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_commutator_system_equals_kron_stack_bitwise(d):
+    # int64 views compare the bit patterns, so signed zeros must match too
+    rng = SeededRng(9100 + d)
+    for basis in _commutant_bases(rng, d):
+        system = _commutator_system(basis)
+        expected = reference_commutator_system(basis)
+        assert system.shape == expected.shape == (len(basis) * d * d, d * d)
+        assert np.array_equal(system.view(np.int64), expected.view(np.int64))
 
 
 channel_kinds = st.sampled_from(["extreme", "eb"])

@@ -15,6 +15,7 @@ from ebx import (
     PreconditionDomination,
     SeededRng,
     StructureViolation,
+    Tolerance,
     VerificationFailed,
     apply,
     arveson_derivative,
@@ -27,6 +28,7 @@ from ebx import (
     dominates_eb,
     extract_canonical,
     extremality_witness,
+    hermitian_basis,
     holevo_channel,
     identity_channel,
     is_cstar_extreme,
@@ -47,8 +49,8 @@ from ebx.gallery import (
     tetrahedral_channel,
     two_block_pinching_channel,
 )
-from ebx.extremality import _choi_deviation
-from ebx.linalg import max_abs, psd_sqrt
+from ebx.extremality import _check_commutative, _choi_deviation
+from ebx.linalg import _sym, max_abs, psd_sqrt
 
 from support import (
     block_adapted_contraction,
@@ -56,6 +58,7 @@ from support import (
     random_canonical_form,
     random_invertible_contraction,
     reference_choi_deviation,
+    reference_first_noncommuting,
     unit,
 )
 
@@ -145,6 +148,77 @@ def test_extract_rejects_nonunital_dominated_piece():
 def test_extract_refuses_noncommutative_range():
     with pytest.raises(NotExtreme):
         extract_canonical(tetrahedral_channel())
+
+
+def _range_images(ch) -> np.ndarray:
+    # the symmetrised hermitian-basis images extract_canonical checks
+    return np.array([_sym(apply(ch, h)) for h in hermitian_basis(ch.d1)])
+
+
+def _assert_commutativity_matches_loop(images, tol=Tolerance()):
+    first = reference_first_noncommuting(images, tol.eq_abs)
+    if first is None:
+        _check_commutative(images, tol)
+        return None
+    with pytest.raises(NotExtreme) as info:
+        _check_commutative(images, tol)
+    assert str(info.value) == f"range is not commutative (commutator deviation {first[2]:.3e})"
+    return first
+
+
+def test_commutativity_check_matches_pairwise_loop_on_random_ranges():
+    shapes = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4), (5, 5), (6, 4)]
+    for k, (d1, d2) in enumerate(shapes):
+        for seed in range(3):
+            rng = SeededRng(8100 + 10 * k + seed)
+            extreme = random_cstar_extreme(rng, d1, d2, n_blocks=1 + seed % d2)
+            assert _assert_commutativity_matches_loop(_range_images(extreme)) is None
+            # two terms R and I - R would commute; three or more generically do not
+            generic = random_unital_eb(rng, d1, d2, n_terms=3 + seed)
+            assert _assert_commutativity_matches_loop(_range_images(generic)) is not None
+
+
+def _planted_images(rng, ratio, eq_abs, n=7, d2=4, scale=4.0):
+    """n hermitian images in which only the last pair in loop order,
+    (n-2, n-1), fails to commute, its commutator at ``ratio`` times that
+    pair's bound eq_abs * max(1, max_abs(A) * max_abs(B))."""
+    frame = rng.unitary(d2)
+
+    def lift(block, diag):
+        m = np.zeros((d2, d2), dtype=complex)
+        m[:2, :2] = block
+        m[2:, 2:] = np.diag(diag)
+        return frame @ m @ frame.conj().T
+
+    gen = rng.generator
+    images = [
+        lift(scale * gen.standard_normal() * E2, scale * gen.standard_normal(d2 - 2))
+        for _ in range(n - 2)
+    ]
+    x, z = rng.hermitian(2), rng.hermitian(2)
+    diag_a, diag_b = scale * gen.standard_normal(d2 - 2), scale * gen.standard_normal(d2 - 2)
+    a = lift(scale * x, diag_a)
+    # [a, lift(scale x + t z, .)] = scale t lift([x, z], 0)
+    unit_dev = scale * max_abs(lift(x @ z - z @ x, np.zeros(d2 - 2)))
+    t = 0.0
+    for _ in range(4):
+        b = lift(scale * x + t * z, diag_b)
+        t = ratio * eq_abs * max(1.0, max_abs(a) * max_abs(b)) / unit_dev
+    return np.array(images + [a, lift(scale * x + t * z, diag_b)])
+
+
+@pytest.mark.parametrize("eq_abs", [1e-9, 1e-6])
+@pytest.mark.parametrize("seed", range(4))
+def test_commutativity_check_at_planted_margins(seed, eq_abs):
+    tol = Tolerance(eq_abs=eq_abs)
+    inside = _planted_images(SeededRng(8300 + seed), 0.5, eq_abs)
+    assert _assert_commutativity_matches_loop(inside, tol) is None
+    outside = _planted_images(SeededRng(8300 + seed), 2.0, eq_abs)
+    i, j, dev = _assert_commutativity_matches_loop(outside, tol)
+    n = len(outside)
+    assert (i, j) == (n - 2, n - 1)
+    bound = eq_abs * max(1.0, max_abs(outside[i]) * max_abs(outside[j]))
+    assert abs(dev / bound - 2.0) <= 0.01
 
 
 def test_extract_reconstruct_round_trip():
