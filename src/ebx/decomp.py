@@ -196,31 +196,6 @@ def km_decompose(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CStarCombination:
     return CStarCombination(d1, d2, tuple(terms))
 
 
-def _factor_key(ch: Channel) -> tuple:
-    """Representation type, dims and the exact bytes of every array of the
-    representation and certificate: factors with equal keys are the same
-    map, so one extremality check answers for all of them."""
-
-    def fingerprint(arrays) -> tuple:
-        return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays))
-
-    rep = ch.representation
-    if isinstance(rep, KrausSet):
-        arrays = rep.operators
-    elif isinstance(rep, HolevoEnsemble):
-        arrays = [m for term in rep.terms for m in term]
-    else:
-        arrays = [rep.matrix]
-    cert = ch.certificate
-    return (
-        type(rep),
-        ch.d1,
-        ch.d2,
-        fingerprint(arrays),
-        None if cert is None else fingerprint(m for term in cert.terms for m in term),
-    )
-
-
 def verify_decomposition(
     comb: CStarCombination, target: Channel, tol: Tolerance = DEFAULT_TOL
 ) -> DecompositionCheck:
@@ -228,9 +203,7 @@ def verify_decomposition(
 
     Reports the worst reconstruction deviation over matrix units, whether
     every factor is C*-extreme (with per-factor diagnostics when not), and
-    whether the combination is proper. ``is_cstar_extreme`` runs once per
-    distinct factor (same type, dims and array bytes); a repeated factor
-    gets the same diagnostic text under each of its indices.
+    whether the combination is proper.
     """
     if (comb.d1, comb.d2) != (target.d1, target.d2):
         raise DimensionMismatch("combination and target dimensions differ")
@@ -239,26 +212,23 @@ def verify_decomposition(
     for unit in matrix_units(comb.d1):
         err = max(err, max_abs(apply(rebuilt, unit) - apply(target, unit)))
 
-    # the failure text of each distinct factor, None when it is C*-extreme
-    verdicts: dict[tuple, str | None] = {}
+    all_extreme = True
     diagnostics: list[str] = []
     for k, (_, factor) in enumerate(comb.terms):
-        key = _factor_key(factor)
-        if key not in verdicts:
-            try:
-                report = is_cstar_extreme(factor, tol)
-                verdicts[key] = (
-                    None if report.is_cstar_extreme
-                    else f"not C*-extreme (choi rank {report.choi_rank})"
+        try:
+            report = is_cstar_extreme(factor, tol)
+            if not report.is_cstar_extreme:
+                all_extreme = False
+                diagnostics.append(
+                    f"factor {k}: not C*-extreme (choi rank {report.choi_rank})"
                 )
-            except EbxError as exc:
-                verdicts[key] = f"{type(exc).__name__}: {exc}"
-        if verdicts[key] is not None:
-            diagnostics.append(f"factor {k}: {verdicts[key]}")
+        except EbxError as exc:
+            all_extreme = False
+            diagnostics.append(f"factor {k}: {type(exc).__name__}: {exc}")
 
     return DecompositionCheck(
         reconstruction_error=float(err),
-        all_factors_extreme=not diagnostics,
+        all_factors_extreme=all_extreme,
         proper=is_proper(comb, tol),
         factor_diagnostics=tuple(diagnostics),
     )

@@ -11,11 +11,9 @@ import numpy as np
 from ebx import (
     CanonicalEBForm,
     Channel,
-    EbxError,
     SeededRng,
     apply,
     herm_eig,
-    is_cstar_extreme,
     kraus_channel,
     matrix_units,
     nullspace,
@@ -196,22 +194,3 @@ def reference_commutator_system(basis) -> np.ndarray:
     """The stacked kron blocks I (x) B^T - B (x) I, one pair per B."""
     eye = np.eye(basis.shape[1], dtype=complex)
     return np.vstack([np.kron(eye, b.T) - np.kron(b, eye) for b in basis])
-
-
-def reference_factor_diagnostics(comb, tol) -> tuple[bool, tuple[str, ...]]:
-    """(all_factors_extreme, factor_diagnostics) of ``verify_decomposition``
-    from one ``is_cstar_extreme`` call per term, repeats included."""
-    all_extreme = True
-    diagnostics = []
-    for k, (_, factor) in enumerate(comb.terms):
-        try:
-            report = is_cstar_extreme(factor, tol)
-            if not report.is_cstar_extreme:
-                all_extreme = False
-                diagnostics.append(
-                    f"factor {k}: not C*-extreme (choi rank {report.choi_rank})"
-                )
-        except EbxError as exc:
-            all_extreme = False
-            diagnostics.append(f"factor {k}: {type(exc).__name__}: {exc}")
-    return all_extreme, tuple(diagnostics)

@@ -10,9 +10,7 @@ from ebx import (
     NoCertificate,
     NotCP,
     NotUnital,
-    Channel,
     SeededRng,
-    Tolerance,
     channel_from_map,
     eb_verdict,
     evaluate,
@@ -25,12 +23,10 @@ from ebx import (
     random_unital_eb,
     verify_decomposition,
 )
-import ebx.decomp
-from ebx.channel import _kraus_ops
 from ebx.gallery import diagonal_pinching_channel, partial_averaging_channel
 from ebx.linalg import max_abs, svd_rank
 
-from support import channel_distance, reference_factor_diagnostics, unit
+from support import channel_distance, unit
 
 E2 = np.eye(2, dtype=complex)
 
@@ -176,55 +172,6 @@ def test_verify_flags_non_extreme_factors():
     assert len(check.factor_diagnostics) == 2
     assert "factor 0" in check.factor_diagnostics[0]
     assert "NotEB" in check.factor_diagnostics[0]  # the identity is not EB
-
-
-def _count_extremality_checks(monkeypatch) -> list:
-    calls = []
-
-    def counted(ch, tol):
-        calls.append(ch)
-        return is_cstar_extreme(ch, tol)
-
-    monkeypatch.setattr(ebx.decomp, "is_cstar_extreme", counted)
-    return calls
-
-
-def test_verify_checks_each_distinct_factor_once(monkeypatch):
-    rng = SeededRng(1300)
-    not_eb = identity_channel(2)
-    not_extreme = random_unital_eb(rng, 2, 2, 3)  # choi rank 4 > d2
-    rep = not_extreme.representation
-    factors = [
-        not_eb,
-        not_extreme,
-        diagonal_pinching_channel(),
-        not_eb,
-        identity_channel(2),  # a new object with the same arrays
-        Channel(2, 2, rep, label="relabelled"),  # the label is not part of the map
-        kraus_channel(list(_kraus_ops(not_extreme, Tolerance()))),
-        not_extreme,
-    ]
-    t = E2 / np.sqrt(len(factors))
-    comb = CStarCombination(2, 2, tuple((t, f) for f in factors))
-    target = evaluate(comb)
-    expected = reference_factor_diagnostics(comb, Tolerance())
-    calls = _count_extremality_checks(monkeypatch)
-    check = verify_decomposition(comb, target)
-    assert (check.all_factors_extreme, check.factor_diagnostics) == expected
-    assert len(check.factor_diagnostics) == 7
-    assert "choi rank 4" in check.factor_diagnostics[1]
-    # identity, random EB (Holevo), pinching, random EB (Kraus)
-    assert len(calls) == 4
-
-
-def test_verify_km_checks_once_per_distinct_state(monkeypatch):
-    ch = random_unital_eb(SeededRng(1301), 2, 3, 2)
-    comb = km_decompose(ch)
-    assert comb.n_terms == 6  # 2 states, each with 3 rank-one coefficients
-    calls = _count_extremality_checks(monkeypatch)
-    check = verify_decomposition(comb, ch)
-    assert check.all_factors_extreme and not check.factor_diagnostics
-    assert len(calls) == 2
 
 
 def test_verify_propagates_normalization_failure():
