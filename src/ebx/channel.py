@@ -32,6 +32,7 @@ from .errors import (
     InternalInconsistency,
     NotCP,
     NotHermitian,
+    NotPSD,
     NotUnitalTP,
 )
 from .linalg import (
@@ -354,6 +355,21 @@ def to_choi(ch: Channel) -> ChoiMatrix:
     return ChoiMatrix(ch.d1, ch.d2, choi)
 
 
+def _choi_deviation(
+    b: Channel, a: Channel, left: np.ndarray | None = None, right: np.ndarray | None = None
+) -> float:
+    """max_abs(C_b - (I (x) L) C_a (I (x) R)): the largest entry of
+    Psi_b(E_ij) - L Phi_a(E_ij) R over all matrix units, since block (i, j)
+    of a Choi matrix is the image of E_ij. L and R default to the identity."""
+    d1, d2 = a.d1, a.d2
+    images = to_choi(a).matrix.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
+    if left is not None:
+        images = left @ images
+    if right is not None:
+        images = images @ right
+    return max_abs(to_choi(b).matrix - images.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2))
+
+
 def choi_to_kraus(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     """Spectral Kraus extraction from a psd Choi matrix.
 
@@ -362,23 +378,17 @@ def choi_to_kraus(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     check (complete positivity and the existence of a Kraus form coincide).
     """
     try:
-        vals, vecs = herm_eig(c.matrix, tol)
+        vecs = _psd_rank_one_split(c.matrix, tol)
     except NotHermitian as exc:
         raise NotCP(f"Choi matrix is not hermitian: {exc}") from exc
-    if not _psd_values(vals, tol):
-        raise NotCP("Choi matrix has an eigenvalue below the psd floor")
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    keep = [k for k, v in enumerate(vals) if v > tol.rank_rel * scale]
-    if not keep:
+    except NotPSD as exc:
+        raise NotCP("Choi matrix has an eigenvalue below the psd floor") from exc
+    if not vecs:
         return KrausSet(c.d1, c.d2, (np.zeros((c.d1, c.d2), dtype=complex),))
-    ops = []
-    for k in keep:
-        # an eigenvector w of the Choi matrix corresponds to the operator
-        # with entries V[i, m] = conj(w[i*d2 + m]); this orientation is what
-        # makes to_choi a left inverse (frozen by golden round-trip tests)
-        w = np.sqrt(vals[k]) * vecs[:, k]
-        ops.append(w.conj().reshape(c.d1, c.d2))
-    return KrausSet(c.d1, c.d2, tuple(ops))
+    # a scaled eigenvector w of the Choi matrix corresponds to the operator
+    # with entries V[i, m] = conj(w[i*d2 + m]); this orientation is what
+    # makes to_choi a left inverse (frozen by golden round-trip tests)
+    return KrausSet(c.d1, c.d2, tuple(w.conj().reshape(c.d1, c.d2) for w in vecs))
 
 
 def holevo_to_kraus(h: HolevoEnsemble, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
@@ -404,8 +414,6 @@ def holevo_to_kraus(h: HolevoEnsemble, tol: Tolerance = DEFAULT_TOL) -> KrausSet
 
 def _psd_rank_one_split(m: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
     """Vectors v_k with m = sum |v_k><v_k|; empty for the zero matrix."""
-    from .errors import NotPSD
-
     vals, vecs = herm_eig(m, tol)
     if not _psd_values(vals, tol):
         raise NotPSD("ensemble member has an eigenvalue below the psd floor")
@@ -464,27 +472,25 @@ def _kraus_ops(ch: Channel, tol: Tolerance) -> tuple[np.ndarray, ...]:
 def stinespring(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> StinespringTriple:
     """Dilation from a Kraus family: isometry z -> sum_i (V_i z) tensor e_i.
 
-    The dilation dimension is the number of Kraus operators; the triple is
-    verified against the channel on a matrix-unit basis before returning.
+    The dilation dimension is the number of Kraus operators; before
+    returning, the triple is verified against the channel's Choi blocks:
+    block (a, b) of the dilation's Choi matrix is v^* (E_ab (x) I_r) v.
     """
     ops = _kraus_ops(ch, tol)
     r = len(ops)
-    v = np.zeros((ch.d1 * r, ch.d2), dtype=complex)
-    for i, op in enumerate(ops):
-        e = np.zeros((r, 1), dtype=complex)
-        e[i, 0] = 1.0
-        v += np.kron(op, e)
-    gram_dev = max_abs(v.conj().T @ v - apply(ch, np.eye(ch.d1)))
-    rep_dev = 0.0
-    for unit in matrix_units(ch.d1):
-        lifted = np.kron(unit, np.eye(r))
-        rep_dev = max(rep_dev, max_abs(v.conj().T @ lifted @ v - apply(ch, unit)))
+    d1, d2 = ch.d1, ch.d2
+    # rows[a, i] is row a of V_i, which is row (a, i) of v
+    rows = np.stack(ops, axis=1).astype(complex)
+    v = rows.reshape(d1 * r, d2)
+    gram_dev = max_abs(v.conj().T @ v - apply(ch, np.eye(d1)))
+    dilated = np.einsum("aik,bil->akbl", rows.conj(), rows).reshape(d1 * d2, d1 * d2)
+    rep_dev = max_abs(dilated - to_choi(ch).matrix)
     if gram_dev > tol.eq_abs or rep_dev > tol.eq_abs:
         raise InternalInconsistency(
             f"Stinespring verification failed (gram dev {gram_dev:.3e}, "
             f"representation dev {rep_dev:.3e})"
         )
-    return StinespringTriple(ch.d1, ch.d2, r, v)
+    return StinespringTriple(d1, d2, r, v)
 
 
 def fixed_point_check(ch: Channel, a, tol: Tolerance = DEFAULT_TOL) -> FixedPointCheck:

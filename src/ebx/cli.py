@@ -41,7 +41,6 @@ from .linalg import Tolerance, herm_eig, svd_rank
 from .rng import SeededRng
 from .separability import (
     eb_verdict,
-    is_ppt,
     random_cstar_extreme,
     random_unital_eb,
     rank_bounds,
@@ -123,12 +122,14 @@ def _build_report(ch: Channel, tol: Tolerance) -> dict:
         "choi_rank": svd_rank(to_choi(ch).matrix, tol),
         "notes": [],
     }
-    report["ppt"] = is_ppt(ch, tol)
     if not p.is_cp:
+        # a map that is not CP has a non-psd Choi matrix, so it is not PPT
+        report["ppt"] = False
         report["notes"].append("not completely positive; EB analysis skipped")
         return report
 
     verdict = eb_verdict(ch, tol)
+    report["ppt"] = verdict.ppt
     report["eb"] = {
         "is_eb": verdict.is_eb,
         "conclusive": verdict.conclusive,

@@ -18,10 +18,9 @@ from .channel import (
     Channel,
     HolevoEnsemble,
     KrausSet,
+    _choi_deviation,
     _is_unital,
     _kraus_ops,
-    apply,
-    matrix_units,
     predicates,
 )
 from .errors import (
@@ -207,10 +206,7 @@ def verify_decomposition(
     """
     if (comb.d1, comb.d2) != (target.d1, target.d2):
         raise DimensionMismatch("combination and target dimensions differ")
-    rebuilt = evaluate(comb, tol)
-    err = 0.0
-    for unit in matrix_units(comb.d1):
-        err = max(err, max_abs(apply(rebuilt, unit) - apply(target, unit)))
+    err = _choi_deviation(target, evaluate(comb, tol))
 
     all_extreme = True
     diagnostics: list[str] = []
@@ -227,7 +223,7 @@ def verify_decomposition(
             diagnostics.append(f"factor {k}: {type(exc).__name__}: {exc}")
 
     return DecompositionCheck(
-        reconstruction_error=float(err),
+        reconstruction_error=err,
         all_factors_extreme=all_extreme,
         proper=is_proper(comb, tol),
         factor_diagnostics=tuple(diagnostics),

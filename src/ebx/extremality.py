@@ -24,6 +24,7 @@ import numpy as np
 from .channel import (
     Channel,
     HolevoEnsemble,
+    _choi_deviation,
     _is_unital,
     _kraus_ops,
     adjoint,
@@ -297,21 +298,6 @@ def extract_canonical(
     form = CanonicalEBForm(ch.d1, ch.d2, blocks)
     _verify_canonical_against(form, ch, tol)
     return form
-
-
-def _choi_deviation(
-    b: Channel, a: Channel, left: np.ndarray | None = None, right: np.ndarray | None = None
-) -> float:
-    """max_abs(C_b - (I (x) L) C_a (I (x) R)): the largest entry of
-    Psi_b(E_ij) - L Phi_a(E_ij) R over all matrix units, since block (i, j)
-    of a Choi matrix is the image of E_ij. L and R default to the identity."""
-    d1, d2 = a.d1, a.d2
-    images = to_choi(a).matrix.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3)
-    if left is not None:
-        images = left @ images
-    if right is not None:
-        images = images @ right
-    return max_abs(to_choi(b).matrix - images.transpose(0, 2, 1, 3).reshape(d1 * d2, d1 * d2))
 
 
 def _verify_canonical_against(

@@ -15,6 +15,7 @@ import numpy as np
 
 from .channel import (
     Channel,
+    _choi_deviation,
     apply,
     channel_from_map,
     holevo_channel,
@@ -256,11 +257,7 @@ def _case_two_block_pinching(tol: Tolerance) -> GalleryOutcome:
             f"residual={deriv.residual:.2e}",
         )
         z = extremality_witness(form, psi, tol)
-        dev = max(
-            max_abs(apply(psi, _unit(3, i, j)) - z @ apply(phi, _unit(3, i, j)) @ z)
-            for i in range(3)
-            for j in range(3)
-        )
+        dev = _choi_deviation(psi, phi, z, z)
         _check(checks, "conjugation witness reproduces psi", dev <= 1e-8, f"dev={dev:.2e}")
     return _outcome(
         "two_block_pinching",
@@ -283,11 +280,7 @@ def _case_impure_inflation(tol: Tolerance) -> GalleryOutcome:
     _check(checks, "combination is proper", is_proper(comb, tol))
     mixed = evaluate(comb, tol)
     target = depolarizing_channel(2)
-    dev = max(
-        max_abs(apply(mixed, _unit(2, i, j)) - apply(target, _unit(2, i, j)))
-        for i in range(2)
-        for j in range(2)
-    )
+    dev = _choi_deviation(mixed, target)
     _check(checks, "mix equals full averaging", dev <= 1e-12, f"dev={dev:.2e}")
     _check(
         checks,
@@ -359,11 +352,7 @@ def _case_diagonal_pinching(tol: Tolerance) -> GalleryOutcome:
         ),
         label="unitary-midpoint",
     )
-    dev = max(
-        max_abs(apply(mid, _unit(2, i, j)) - apply(phi, _unit(2, i, j)))
-        for i in range(2)
-        for j in range(2)
-    )
+    dev = _choi_deviation(mid, phi)
     _check(checks, "midpoint of two unitary conjugations", dev <= 1e-12)
     _check(
         checks,

@@ -115,7 +115,7 @@ def channel_distance(a: Channel, b: Channel) -> float:
 
 def reference_choi_deviation(b: Channel, a: Channel, left=None, right=None) -> float:
     """max over matrix units E of |Psi_b(E) - L Phi_a(E) R|, one apply per
-    unit; the loop the Choi-block helper in ``ebx.extremality`` replaced."""
+    unit; the loop that ``ebx.channel._choi_deviation`` replaced."""
     eye = np.eye(a.d2, dtype=complex)
     left = eye if left is None else left
     right = eye if right is None else right

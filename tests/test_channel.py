@@ -1,13 +1,17 @@
 """Representations, conversions, and structural operations on channels."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebx import (
+    ChoiMatrix,
     DimensionMismatch,
     InternalInconsistency,
     NotCP,
+    NotPSD,
     NotUnitalTP,
     SeededRng,
     adjoint,
@@ -141,9 +145,19 @@ def test_choi_to_kraus_zero_map():
 
 
 def test_choi_to_kraus_rejects_non_cp():
-    transpose = channel_from_map(lambda x: x.T, 2, 2)
-    with pytest.raises(NotCP):
-        choi_to_kraus(to_choi(transpose))
+    cases = [
+        # the transpose map: hermitian Choi matrix (the swap), eigenvalue -1
+        (to_choi(channel_from_map(lambda x: x.T, 2, 2)),
+         "Choi matrix has an eigenvalue below the psd floor"),
+        (ChoiMatrix(1, 2, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)),
+         "Choi matrix is not hermitian: matrix deviates from hermitian by 1.000e+00 "
+         "(eq_abs=1.0e-09)"),
+    ]
+    for choi, message in cases:
+        with pytest.raises(NotCP) as excinfo:
+            choi_to_kraus(choi)
+        assert not isinstance(excinfo.value, NotPSD)
+        assert str(excinfo.value) == message
 
 
 def test_holevo_to_kraus_matches_action():
@@ -260,6 +274,30 @@ def test_stinespring_reproduces_channel():
     lifted = np.kron(x, np.eye(tri.dilation_dim))
     out = tri.isometry.conj().T @ lifted @ tri.isometry
     assert max_abs(out - apply(ch, x)) <= 1e-10
+
+
+def test_stinespring_rows_are_indexed_system_then_dilation():
+    ch = random_kraus_channel(SeededRng(18), 3, 2, 4)
+    tri = stinespring(ch)
+    rows = tri.isometry.reshape(3, tri.dilation_dim, 2)
+    for i, op in enumerate(ch.representation.operators):
+        assert np.array_equal(rows[:, i, :], op)
+
+
+def test_stinespring_rejects_a_dilation_of_another_map(monkeypatch):
+    # V_i -> U V_i keeps sum V_i^* V_i = Phi(I) but changes the map, so only
+    # the Choi-block comparison can catch it
+    rng = SeededRng(19)
+    ch = random_kraus_channel(rng, 2, 3, 2)
+    u = rng.unitary(2)
+    monkeypatch.setattr(
+        "ebx.channel._kraus_ops",
+        lambda c, tol: tuple(u @ op for op in c.representation.operators),
+    )
+    with pytest.raises(InternalInconsistency) as excinfo:
+        stinespring(ch)
+    gram_dev, rep_dev = map(float, re.findall(r"dev ([^,)]+)", str(excinfo.value)))
+    assert gram_dev <= 1e-12 and rep_dev > 1e-3
 
 
 def test_stinespring_isometry_iff_unital():

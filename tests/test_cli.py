@@ -5,12 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from ebx import SeededRng, choi_channel, compose_ad, random_unital_eb, save_channel, to_choi
+from ebx import (
+    SeededRng,
+    choi_channel,
+    compose_ad,
+    holevo_to_kraus,
+    is_ppt,
+    kraus_channel,
+    random_cstar_extreme,
+    random_unital_eb,
+    save_channel,
+    to_choi,
+)
 from ebx.channel import channel_from_map, identity_channel
-from ebx.cli import main
+from ebx.cli import _build_report, _tolerance, main
 from ebx.gallery import (
     CASE_NAMES,
     diagonal_pinching_channel,
+    run_all,
     swapped_pinching_channel,
     two_block_pinching_channel,
 )
@@ -93,6 +105,43 @@ def test_analyze_inconclusive_verdict(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["eb"]["is_eb"] == "unknown"
     assert any("inconclusive" in note for note in report["notes"])
+
+
+REPORT_KEYS = [
+    "version", "tolerance", "label", "d1", "d2", "predicates", "choi_rank",
+    "notes", "ppt", "eb", "eb_kraus_rank", "extremality", "commutant_dimension",
+]
+
+
+def _certified_kraus_channel():
+    ensemble = random_cstar_extreme(SeededRng(51), 3, 3).representation
+    return kraus_channel(holevo_to_kraus(ensemble).operators, certificate=ensemble)
+
+
+@pytest.mark.parametrize(
+    "ch, keys",
+    [
+        (channel_from_map(lambda x: x.T, 2, 2), REPORT_KEYS[:9]),
+        (identity_channel(2), REPORT_KEYS[:10] + ["commutant_dimension"]),
+        (_certified_kraus_channel(), REPORT_KEYS),
+        (kraus_channel([np.zeros((2, 3))]), REPORT_KEYS[:11] + ["commutant_dimension"]),
+    ],
+    ids=["transpose", "identity", "certified-kraus", "zero"],
+)
+def test_analyze_ppt_key_and_key_order(ch, keys):
+    # the report analyze --json prints, built in memory so that the
+    # certificate of the Kraus channel is kept
+    report = _build_report(ch, _tolerance(1e-9))
+    assert report["ppt"] == is_ppt(ch)
+    assert list(report) == keys
+
+
+def test_analyze_ppt_key_on_gallery_channels():
+    channels = [ch for outcome in run_all() for ch in outcome.channels.values()]
+    for ch in channels:
+        report = _build_report(ch, _tolerance(1e-9))
+        assert report["ppt"] == is_ppt(ch), ch.label
+        assert list(report) == [k for k in REPORT_KEYS if k in report], ch.label
 
 
 # --- exit codes ---

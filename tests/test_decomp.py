@@ -20,13 +20,14 @@ from ebx import (
     is_proper,
     km_decompose,
     kraus_channel,
+    random_cstar_extreme,
     random_unital_eb,
     verify_decomposition,
 )
 from ebx.gallery import diagonal_pinching_channel, partial_averaging_channel
 from ebx.linalg import max_abs, svd_rank
 
-from support import channel_distance, unit
+from support import channel_distance, reference_choi_deviation, unit
 
 E2 = np.eye(2, dtype=complex)
 
@@ -131,6 +132,21 @@ def test_km_reconstructs_random_channels():
         assert check.reconstruction_error <= 1e-9
         assert check.all_factors_extreme
         assert not check.proper  # rank-one coefficients for d2 > 1
+
+
+def test_reconstruction_error_matches_matrix_unit_loop():
+    rng = SeededRng(1150)
+    for d1, d2 in [(2, 2), (2, 3), (3, 2), (3, 4)]:
+        for ch in (random_unital_eb(rng, d1, d2, d2 + 1), random_cstar_extreme(rng, d1, d2)):
+            comb = km_decompose(ch)
+            err = verify_decomposition(comb, ch).reconstruction_error
+            assert abs(err - reference_choi_deviation(ch, evaluate(comb))) <= 1e-13
+    # a different target of the same dims: the error compares the rebuilt
+    # map with the target, not with itself
+    other = random_unital_eb(rng, d1, d2, d2 + 1)
+    err = verify_decomposition(comb, other).reconstruction_error
+    assert err > 1e-3
+    assert abs(err - reference_choi_deviation(other, evaluate(comb))) <= 1e-13
 
 
 def test_km_scalar_output_is_proper():

@@ -49,7 +49,8 @@ from ebx.gallery import (
     tetrahedral_channel,
     two_block_pinching_channel,
 )
-from ebx.extremality import _check_commutative, _choi_deviation
+from ebx.channel import _choi_deviation
+from ebx.extremality import _check_commutative
 from ebx.linalg import _sym, max_abs, psd_sqrt
 
 from support import (
