@@ -39,6 +39,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _psd_values,
+    _sym,
     as_matrix,
     herm_eig,
     is_psd,
@@ -316,25 +317,40 @@ def identity_channel(d: int) -> Channel:
 
 
 def apply(ch: Channel, x) -> np.ndarray:
-    """Apply the channel to a d1 x d1 matrix."""
+    """Apply the channel to a d1 x d1 matrix: ``_apply_stack`` on a stack of one.
+
+    Raises DimensionMismatch for a wrong shape and ValueError for a
+    non-finite entry.
+    """
     xm = as_matrix(x)
     if xm.shape != (ch.d1, ch.d1):
         raise DimensionMismatch(
             f"input of shape {xm.shape}, channel expects {(ch.d1, ch.d1)}"
         )
+    return _apply_stack(ch, xm[None])[0]
+
+
+def _apply_stack(ch: Channel, xs: np.ndarray) -> np.ndarray:
+    """Apply the channel to each matrix of an (n, d1, d1) stack at once.
+
+    The one implementation per representation: Kraus sums V^* X V over the
+    operators, Holevo sums tr(X F) R over the terms, in their stored order,
+    and Choi contracts X with the blocks. Entry for entry the products and
+    sums are those of one matrix at a time, so ``out[k]`` equals
+    ``apply(ch, xs[k])`` bit for bit. The input is not validated.
+    """
     rep = ch.representation
+    if isinstance(rep, ChoiMatrix):
+        blocks = rep.matrix.reshape(ch.d1, ch.d2, ch.d1, ch.d2)
+        return np.einsum("nij,ikjl->nkl", xs, blocks)
+    out = np.zeros((len(xs), ch.d2, ch.d2), dtype=complex)
     if isinstance(rep, KrausSet):
-        out = np.zeros((ch.d2, ch.d2), dtype=complex)
         for op in rep.operators:
-            out += op.conj().T @ xm @ op
-        return out
-    if isinstance(rep, HolevoEnsemble):
-        out = np.zeros((ch.d2, ch.d2), dtype=complex)
+            out += op.conj().T @ xs @ op
+    else:
         for f, r in rep.terms:
-            out += np.trace(xm @ f) * r
-        return out
-    blocks = rep.matrix.reshape(ch.d1, ch.d2, ch.d1, ch.d2)
-    return np.einsum("ij,ikjl->kl", xm, blocks)
+            out += np.trace(xs @ f, axis1=1, axis2=2)[:, None, None] * r
+    return out
 
 
 def to_choi(ch: Channel) -> ChoiMatrix:
@@ -417,12 +433,41 @@ def _psd_rank_one_split(m: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
     vals, vecs = herm_eig(m, tol)
     if not _psd_values(vals, tol):
         raise NotPSD("ensemble member has an eigenvalue below the psd floor")
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    out = []
-    for k, v in enumerate(vals):
-        if v > tol.rank_rel * scale and v > 0:
-            out.append(np.sqrt(v) * vecs[:, k])
-    return out
+    keep = _rank_one_keep(vals, tol)
+    return [np.sqrt(v) * vecs[:, k] for k, v in enumerate(vals) if keep[k]]
+
+
+def _rank_one_keep(vals: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Which eigenvalues of a psd matrix give a rank-one term: those above
+    ``tol.rank_rel`` times the largest magnitude and above zero (none for
+    the zero matrix). Decided along the last axis, so it takes a stack."""
+    scale = np.abs(vals).max(axis=-1, keepdims=True)
+    return (vals > tol.rank_rel * scale) & (vals > 0)
+
+
+def _rank_one_count(h: HolevoEnsemble, tol: Tolerance) -> int:
+    """``len(holevo_to_kraus(h, tol).operators)``, counted, not built.
+
+    Term t refines into k(F_t) k(R_t) operators, where k counts the
+    eigenvalues ``_rank_one_keep`` keeps; the effects and the outputs are
+    each checked for hermiticity and diagonalized as one stack. If any
+    member is non-finite, not hermitian or not psd, the refinement is built
+    after all, so the first bad member in the order F_1, R_1, F_2, ...
+    raises exactly what ``holevo_to_kraus`` raises.
+    """
+    effects = np.array([f for f, _ in h.terms], dtype=complex)
+    outputs = np.array([r for _, r in h.terms], dtype=complex)
+    if np.isfinite(effects).all() and np.isfinite(outputs).all():
+        counts = []
+        for stack in (effects, outputs):
+            dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+            vals = np.linalg.eigh(_sym(stack))[0]
+            if (dev > tol.eq_abs).any() or not _psd_values(vals, tol).all():
+                break
+            counts.append(np.count_nonzero(_rank_one_keep(vals, tol), axis=1))
+        else:
+            return max(int(counts[0] @ counts[1]), 1)
+    return len(holevo_to_kraus(h, tol).operators)
 
 
 def adjoint(ch: Channel) -> Channel:

@@ -24,6 +24,7 @@ import numpy as np
 from .channel import (
     Channel,
     HolevoEnsemble,
+    _apply_stack,
     _choi_deviation,
     _is_unital,
     _kraus_ops,
@@ -52,6 +53,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _fix_phases,
     _sym,
     herm_eig,
     is_psd,
@@ -171,23 +173,18 @@ class EquivalenceCheck:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_deviation(m: np.ndarray) -> float:
-    d = m.shape[0]
-    return max_abs(m - (np.trace(m) / d) * np.eye(d))
-
-
 def _joint_eigenspaces(
-    mats: list[np.ndarray], gen: np.random.Generator, tol: Tolerance
+    mats: np.ndarray, gen: np.random.Generator, tol: Tolerance
 ) -> list[np.ndarray]:
     """Common eigenspace bases (orthonormal column blocks) of a commuting
-    hermitian family, by generic random combinations with recursive
-    refinement of degenerate clusters."""
-    d = mats[0].shape[0]
+    (n, d, d) stack of hermitian matrices, by generic random combinations
+    with recursive refinement of degenerate clusters."""
+    d = mats.shape[1]
     if d == 1:
         return [np.eye(1, dtype=complex)]
-    if all(
-        _scalar_deviation(m) <= tol.eq_abs * max(1.0, max_abs(m)) for m in mats
-    ):
+    scalars = (np.trace(mats, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
+    dev = np.abs(mats - scalars).max(axis=(1, 2))
+    if np.all(dev <= tol.eq_abs * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))):
         # every member acts as a scalar here; the whole space is one block
         return [np.eye(d, dtype=complex)]
     for _attempt in range(8):
@@ -210,7 +207,7 @@ def _joint_eigenspaces(
             if hi - lo == 1:
                 out.append(q)
                 continue
-            restricted = [_sym(q.conj().T @ m @ q) for m in mats]
+            restricted = _sym(q.conj().T @ mats @ q)
             out.extend(q @ sub for sub in _joint_eigenspaces(restricted, gen, tol))
         return out
     raise NotExtreme(
@@ -246,13 +243,16 @@ def extract_canonical(
 ) -> CanonicalEBForm:
     """Extract the block form (u_i, P_i) of a C*-extreme channel.
 
-    Steps: check the range is commutative, with the d1^2 images of a
-    hermitian basis stacked once and each image's commutators with the later
-    ones taken in one batched product (``_check_commutative``); jointly
-    diagonalize those images; pull each joint eigenvector v back through the
-    adjoint to the state D = Phi^*(|v><v|), which must be a rank-one density
-    matrix; group eigenvectors whose states coincide into blocks; verify the
-    resulting form reproduces the channel.
+    Steps: form the d1^2 images of a hermitian basis with one
+    ``_apply_stack``; check the range is commutative, each image's
+    commutators with the later ones taken in one batched product
+    (``_check_commutative``); jointly diagonalize the image stack; pull all
+    joint eigenvectors v back through the adjoint at once, to the states
+    D = Phi^*(|v><v|), each of which must be a rank-one density matrix (one
+    batched SVD; rank, then trace, checked eigenvector by eigenvector); take
+    each state's top eigenvector from one batched ``eigh``; group
+    eigenvectors whose states coincide into blocks; verify the resulting
+    form reproduces the channel.
 
     Raises NotExtreme at whichever step fails; for channels that are not
     C*-extreme this is the expected outcome, not an error condition. The
@@ -266,25 +266,23 @@ def extract_canonical(
         raise NotEB("channel is certified not entanglement breaking")
     gen = (rng or SeededRng(_EXTRACTION_SEED)).generator
 
-    images = [_sym(apply(ch, h)) for h in hermitian_basis(ch.d1)]
-    _check_commutative(np.array(images), tol)
+    images = _sym(_apply_stack(ch, np.array(hermitian_basis(ch.d1))))
+    _check_commutative(images, tol)
 
     eigenspaces = _joint_eigenspaces(images, gen, tol)
-    adj = adjoint(ch)
-    pieces: list[tuple[np.ndarray, np.ndarray]] = []  # (state u, eigenvector v)
-    for q in eigenspaces:
-        for k in range(q.shape[1]):
-            v = q[:, k]
-            density = _sym(apply(adj, np.outer(v, v.conj())))
-            if svd_rank(density, tol) != 1:
-                raise NotExtreme("an induced state is not pure (rank > 1)")
-            if abs(np.trace(density) - 1.0) > tol.eq_abs:
-                raise NotExtreme("an induced state is not normalized")
-            _, vecs = herm_eig(density, tol)
-            pieces.append((vecs[:, 0], v))
+    vs = np.concatenate(eigenspaces, axis=1).T  # joint eigenvectors as rows
+    densities = _sym(_apply_stack(adjoint(ch), vs[:, :, None] * vs.conj()[:, None, :]))
+    sigma = np.linalg.svd(densities, compute_uv=False)
+    for density, s in zip(densities, sigma):
+        if np.count_nonzero(s > tol.rank_rel * s[0]) != 1:
+            raise NotExtreme("an induced state is not pure (rank > 1)")
+        if abs(np.trace(density) - 1.0) > tol.eq_abs:
+            raise NotExtreme("an induced state is not normalized")
+    # each state u is the top eigenvector, phase-fixed as herm_eig fixes it
+    states = _fix_phases(np.linalg.eigh(densities)[1][:, :, -1].T.copy()).T
 
     groups: list[tuple[np.ndarray, list[np.ndarray]]] = []
-    for u, v in pieces:
+    for u, v in zip(states, vs):
         for gu, members in groups:
             if abs(np.vdot(gu, u)) >= 1.0 - _STATE_MATCH:
                 members.append(v)

@@ -74,7 +74,8 @@ def max_abs(m) -> float:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    """The hermitian part of a matrix, or of each matrix of a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _require_hermitian(m: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -99,14 +100,17 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """
     h = _require_hermitian(as_matrix(m), tol)
     vals, vecs = np.linalg.eigh(h)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
+    return vals[::-1].copy(), _fix_phases(vecs[:, ::-1].copy())
+
+
+def _fix_phases(vecs: np.ndarray) -> np.ndarray:
+    """``herm_eig``'s phase convention, applied in place to the columns."""
     mask = np.abs(vecs) > 1e-12
     cols = np.flatnonzero(mask.any(axis=0))
     pivots = vecs[mask.argmax(axis=0)[cols], cols]
     # scalar division per pivot: the ufunc rounds differently in the last bit
     vecs[:, cols] *= np.array([abs(p) / p for p in pivots], dtype=complex)
-    return vals, vecs
+    return vecs
 
 
 def svd_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -125,13 +129,14 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     Raises NotHermitian for input that is not hermitian within eq_abs. Only
     the eigenvalues are computed: no eigenvectors, no phase fix.
     """
-    return _psd_values(np.linalg.eigvalsh(_require_hermitian(as_matrix(m), tol)), tol)
+    return bool(_psd_values(np.linalg.eigvalsh(_require_hermitian(as_matrix(m), tol)), tol))
 
 
-def _psd_values(vals: np.ndarray, tol: Tolerance) -> bool:
-    """The is_psd decision from a hermitian matrix's eigenvalues."""
-    scale = max(float(np.max(np.abs(vals))), 1.0) if vals.size else 1.0
-    return bool(vals.min() >= -tol.psd_floor * scale)
+def _psd_values(vals: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The is_psd decision from a hermitian matrix's eigenvalues, or one
+    decision per matrix from the (n, d) eigenvalues of a stack."""
+    scale = np.maximum(np.abs(vals).max(axis=-1), 1.0)
+    return vals.min(axis=-1) >= -tol.psd_floor * scale
 
 
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -20,7 +20,7 @@ from .channel import (
     Channel,
     HolevoEnsemble,
     _is_unital,
-    holevo_to_kraus,
+    _rank_one_count,
     to_choi,
 )
 from .errors import DegenerateDraw, NotCP, NotEB, NotHermitian
@@ -103,7 +103,7 @@ def eb_verdict(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> EBVerdict:
     cert = ch.holevo_certificate
     if cert is not None:
         return EBVerdict(ppt=ppt, conclusive=True, is_eb="yes", certificate=cert)
-    if svd_rank(choi, tol) == 0:
+    if not np.any(choi):
         # the zero map prepares nothing; certify it with a zero ensemble
         zero = HolevoEnsemble(
             ch.d1,
@@ -123,7 +123,9 @@ def rank_bounds(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> RankBounds:
 
     The Choi rank is always a lower bound. The upper bound is the size of
     the rank-one refinement of the attached certificate when one exists,
-    and the generic (d1*d2)^2 cap otherwise. For a unital channel whose
+    counted from the spectra of its effects and outputs without building
+    the operators (``holevo_to_kraus`` would return that many), and the
+    generic (d1*d2)^2 cap otherwise. For a unital channel whose
     Choi rank equals d2 the two bounds collapse to d2 exactly.
     """
     verdict = eb_verdict(ch, tol)
@@ -135,8 +137,7 @@ def rank_bounds(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> RankBounds:
     choi_rank = svd_rank(to_choi(ch).matrix, tol)
     lower = choi_rank
     if verdict.certificate is not None:
-        refined = holevo_to_kraus(verdict.certificate, tol)
-        upper = len(refined.operators)
+        upper = _rank_one_count(verdict.certificate, tol)
     else:
         upper = (ch.d1 * ch.d2) ** 2
     if choi_rank == ch.d2 and _is_unital(ch, tol):

@@ -9,14 +9,21 @@ from __future__ import annotations
 import numpy as np
 
 from ebx import (
+    DEFAULT_TOL,
     CanonicalEBForm,
     Channel,
+    HolevoEnsemble,
+    KrausSet,
+    NotExtreme,
     SeededRng,
+    adjoint,
     apply,
     herm_eig,
+    hermitian_basis,
     kraus_channel,
     matrix_units,
     nullspace,
+    svd_rank,
     to_choi,
 )
 
@@ -194,3 +201,93 @@ def reference_commutator_system(basis) -> np.ndarray:
     """The stacked kron blocks I (x) B^T - B (x) I, one pair per B."""
     eye = np.eye(basis.shape[1], dtype=complex)
     return np.vstack([np.kron(eye, b.T) - np.kron(b, eye) for b in basis])
+
+
+def reference_apply(ch: Channel, x) -> np.ndarray:
+    """The channel applied to one matrix by the per-representation loop
+    that ``ebx.channel._apply_stack`` replaced; the stacked version must
+    match it bit for bit."""
+    xm = np.asarray(x, dtype=complex)
+    rep = ch.representation
+    if isinstance(rep, KrausSet):
+        out = np.zeros((ch.d2, ch.d2), dtype=complex)
+        for op in rep.operators:
+            out += op.conj().T @ xm @ op
+        return out
+    if isinstance(rep, HolevoEnsemble):
+        out = np.zeros((ch.d2, ch.d2), dtype=complex)
+        for f, r in rep.terms:
+            out += np.trace(xm @ f) * r
+        return out
+    blocks = rep.matrix.reshape(ch.d1, ch.d2, ch.d1, ch.d2)
+    return np.einsum("ij,ikjl->kl", xm, blocks)
+
+
+def _sym(m):
+    return (m + m.conj().T) / 2.0
+
+
+def _reference_joint_eigenspaces(mats, gen, eq_abs):
+    # the list-based joint diagonalisation, one matrix at a time
+    d = mats[0].shape[0]
+    if d == 1:
+        return [np.eye(1, dtype=complex)]
+
+    def size(m) -> float:
+        return float(np.max(np.abs(m)))
+
+    if all(
+        size(m - (np.trace(m) / d) * np.eye(d)) <= eq_abs * max(1.0, size(m))
+        for m in mats
+    ):
+        return [np.eye(d, dtype=complex)]
+    for _attempt in range(8):
+        coeffs = gen.standard_normal(len(mats))
+        combo = _sym(sum(c * m for c, m in zip(coeffs, mats)))
+        vals, vecs = np.linalg.eigh(combo)
+        gap = 1e-7 * max(1.0, float(np.max(np.abs(vals))))
+        edges = [0] + [k for k in range(1, d) if vals[k] - vals[k - 1] > gap] + [d]
+        if len(edges) <= 2:
+            continue
+        out = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            q = vecs[:, lo:hi]
+            if hi - lo == 1:
+                out.append(q)
+                continue
+            restricted = [_sym(q.conj().T @ m @ q) for m in mats]
+            out.extend(q @ sub for sub in _reference_joint_eigenspaces(restricted, gen, eq_abs))
+        return out
+    raise NotExtreme("generic combinations stayed degenerate")
+
+
+def reference_extract_blocks(ch: Channel, tol=DEFAULT_TOL, seed: int = 1729):
+    """The (state, projection) blocks of ``extract_canonical`` as the
+    per-element loops computed them: one ``apply`` per hermitian-basis
+    image, a list-based joint diagonalisation, and one pullback,
+    ``svd_rank`` and ``herm_eig`` per joint eigenvector. The seed is the
+    library's fixed extraction seed. The commutativity check and the final
+    verification are left out; use this on channels that pass them."""
+    images = [_sym(reference_apply(ch, h)) for h in hermitian_basis(ch.d1)]
+    gen = SeededRng(seed).generator
+    adj = adjoint(ch)
+    pieces = []
+    for q in _reference_joint_eigenspaces(images, gen, tol.eq_abs):
+        for k in range(q.shape[1]):
+            v = q[:, k]
+            density = _sym(reference_apply(adj, np.outer(v, v.conj())))
+            if svd_rank(density, tol) != 1:
+                raise NotExtreme("an induced state is not pure (rank > 1)")
+            if abs(np.trace(density) - 1.0) > tol.eq_abs:
+                raise NotExtreme("an induced state is not normalized")
+            _, vecs = herm_eig(density, tol)
+            pieces.append((vecs[:, 0], v))
+    groups = []
+    for u, v in pieces:
+        for gu, members in groups:
+            if abs(np.vdot(gu, u)) >= 1.0 - 1e-9:
+                members.append(v)
+                break
+        else:
+            groups.append((u, [v]))
+    return [(gu, sum(np.outer(v, v.conj()) for v in members)) for gu, members in groups]

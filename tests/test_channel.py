@@ -36,11 +36,12 @@ from ebx import (
     to_choi,
 )
 from ebx import gallery
-from ebx.channel import _commutator_system
-from ebx.linalg import max_abs, svd_rank
+from ebx.channel import _apply_stack, _commutator_system
+from ebx.linalg import _sym, max_abs, svd_rank
 
 from support import (
     range_is_scalar,
+    reference_apply,
     reference_commutant_dimension,
     reference_commutator_system,
     unit,
@@ -180,6 +181,57 @@ def test_apply_agrees_across_representations():
 def test_apply_rejects_wrong_shape():
     with pytest.raises(DimensionMismatch):
         apply(identity_channel(2), np.eye(3))
+
+
+def test_apply_rejects_non_finite_entry():
+    x = np.eye(2, dtype=complex)
+    x[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        apply(identity_channel(2), x)
+
+
+def _stack_inputs(rng: SeededRng, d: int):
+    """(n, d, d) stacks: the hermitian basis, the matrix units with their
+    exact zeros, rank-one v v^*, and unstructured complex matrices."""
+    yield np.array(hermitian_basis(d))
+    yield np.array(matrix_units(d))
+    vs = rng.complex_normal((4, d))
+    yield vs[:, :, None] * vs.conj()[:, None, :]
+    yield rng.complex_normal((5, d, d))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("d1", range(1, 10))
+def test_apply_stack_equals_per_matrix_loop_bitwise(d1):
+    # int64 views compare bit patterns: the stacked products and sums must
+    # be those of the one-matrix loop, so extraction output cannot move
+    for d2 in range(1, 10):
+        rng = SeededRng(9300 + 10 * d1 + d2)
+        kraus = random_kraus_channel(rng, d1, d2, 3)
+        channels = (
+            kraus,
+            holevo_channel([(rng.psd(d1), rng.psd(d2)) for _ in range(3)]),
+            choi_channel(to_choi(kraus).matrix, d1, d2),
+        )
+        for xs in _stack_inputs(rng, d1):
+            for ch in channels:
+                out = _apply_stack(ch, xs)
+                assert out.shape == (len(xs), d2, d2)
+                expected = np.array([reference_apply(ch, x) for x in xs])
+                assert np.array_equal(_bits(out), _bits(expected))
+                assert np.array_equal(_bits(apply(ch, xs[-1])), _bits(expected[-1]))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_sym_on_a_stack_equals_per_matrix_bitwise(d):
+    rng = SeededRng(9400 + d)
+    for xs in _stack_inputs(rng, d):
+        stacked = _sym(xs)
+        for k, x in enumerate(xs):
+            assert np.array_equal(_bits(stacked[k]), _bits(_sym(x)))
 
 
 def test_channel_from_map_reproduces_callable():

@@ -24,6 +24,7 @@ from ebx import (
     commutant_dimension,
     compose_ad,
     cq_remark_flags,
+    holevo_to_kraus,
     dominates_cp,
     dominates_eb,
     extract_canonical,
@@ -59,6 +60,7 @@ from support import (
     random_canonical_form,
     random_invertible_contraction,
     reference_choi_deviation,
+    reference_extract_blocks,
     reference_first_noncommuting,
     unit,
 )
@@ -138,6 +140,36 @@ def test_extract_preconditions():
 def test_extract_refuses_impure_states():
     with pytest.raises(NotExtreme):
         extract_canonical(depolarizing_channel(2))
+
+
+def test_extract_not_pure_message_matches_reference():
+    message = "an induced state is not pure (rank > 1)"
+    for extract in (extract_canonical, reference_extract_blocks):
+        with pytest.raises(NotExtreme) as info:
+            extract(depolarizing_channel(2))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "d1, d2", [(5, 5), (6, 6), (4, 8), (8, 4), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+)
+def test_extraction_matches_per_element_reference(d1, d2):
+    # the stacked images, joint diagonalisation and pullbacks must give the
+    # per-element loop's states and projections bit for bit, in each form
+    for seed in range(3):
+        rng = SeededRng(9500 + 100 * d1 + 10 * d2 + seed)
+        extreme = random_cstar_extreme(rng, d1, d2, n_blocks=1 + seed * (d2 - 1) // 2)
+        choi = to_choi(extreme).matrix
+        for ch in (
+            extreme,
+            kraus_channel(holevo_to_kraus(extreme.representation).operators),
+            choi_channel(choi, d1, d2),
+        ):
+            form = extract_canonical(ch)
+            expected = reference_extract_blocks(ch)
+            assert form.n_blocks == len(expected)
+            for (u, p), (eu, ep) in zip(form.blocks, expected):
+                assert np.array_equal(u, eu) and np.array_equal(p, ep)
 
 
 def test_extract_rejects_nonunital_dominated_piece():

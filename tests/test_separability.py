@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from ebx import (
+    DEFAULT_TOL,
+    HolevoEnsemble,
     NotCP,
     NotEB,
+    NotHermitian,
+    NotPSD,
     PPT_CONCLUSIVE_LIMIT,
     SeededRng,
     apply,
@@ -14,6 +18,8 @@ from ebx import (
     compose_ad,
     eb_verdict,
     hermitian_basis,
+    holevo_channel,
+    holevo_to_kraus,
     identity_channel,
     is_ppt,
     kraus_channel,
@@ -24,6 +30,7 @@ from ebx import (
     rank_bounds,
     to_choi,
 )
+from ebx.channel import _rank_one_count
 from ebx.gallery import depolarizing_channel, diagonal_pinching_channel
 from ebx.linalg import max_abs, svd_rank
 
@@ -100,6 +107,26 @@ def test_zero_map_is_certified_yes():
     v = eb_verdict(kraus_channel([np.zeros((2, 2))]))
     assert v.is_eb == "yes" and v.conclusive
     assert v.certificate is not None
+    # as Kraus and as Choi, the certificate is the single zero term
+    zero = kraus_channel([np.zeros((2, 3))])
+    for ch in (zero, strip_certificate(zero)):
+        v = eb_verdict(ch)
+        assert (v.is_eb, v.conclusive, v.ppt) == ("yes", True, True)
+        ((f, r),) = v.certificate.terms
+        assert f.shape == (2, 2) and r.shape == (3, 3)
+        assert not np.any(f) and not np.any(r)
+
+
+def test_tiny_nonzero_choi_takes_the_ppt_path():
+    # the zero-map shortcut is for exact zeros only; a Choi matrix scaled
+    # by 1e-300 is decided by PPT like any other, without a certificate
+    for ch, verdict in (
+        (diagonal_pinching_channel(), "yes"),
+        (random_unital_eb(SeededRng(31), 3, 3, 4), "unknown"),
+    ):
+        tiny = choi_channel(1e-300 * to_choi(ch).matrix, ch.d1, ch.d2)
+        v = eb_verdict(tiny)
+        assert v.is_eb == verdict and v.certificate is None
 
 
 def test_verdict_rejects_non_cp():
@@ -150,6 +177,71 @@ def test_rank_bounds_ordering_invariant():
         b = rank_bounds(ch)
         assert d2 <= b.choi_rank <= b.eb_rank_lower <= b.eb_rank_upper
         assert b.eb_rank_upper <= (d1 * d2) ** 2
+
+
+def _rank_deficient_psd(rng: SeededRng, d: int, rank: int) -> np.ndarray:
+    g = rng.complex_normal((d, rank))
+    return g @ g.conj().T
+
+
+def _counted_ensembles():
+    for seed in range(12):
+        rng = SeededRng(9600 + seed)
+        d1, d2 = 2 + seed % 3, 2 + (seed // 3) % 3
+        terms = [
+            (_rank_deficient_psd(rng, d1, 1 + (seed + t) % d1),
+             _rank_deficient_psd(rng, d2, 1 + (seed * t) % d2))
+            for t in range(1 + seed % 4)
+        ]
+        yield holevo_channel(terms)
+        zero_f = np.zeros((d1, d1), dtype=complex)
+        yield holevo_channel(terms + [(zero_f, rng.psd(d2))])
+    yield holevo_channel([(np.zeros((2, 2)), np.zeros((3, 3)))] * 2)
+
+
+def test_rank_bounds_counts_the_rank_one_refinement():
+    for ch in _counted_ensembles():
+        n_ops = len(holevo_to_kraus(ch.representation).operators)
+        assert _rank_one_count(ch.representation, DEFAULT_TOL) == n_ops
+        b = rank_bounds(ch)
+        if not (b.choi_rank == ch.d2 and predicates(ch).is_unital):
+            assert b.eb_rank_upper == max(n_ops, b.eb_rank_lower)
+    zero = rank_bounds(holevo_channel([(np.zeros((2, 2)), np.zeros((3, 3)))]))
+    assert (zero.choi_rank, zero.eb_rank_upper) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ({(0, 1): "not psd", (1, 0): "not hermitian"}, NotPSD),
+        ({(0, 0): "not hermitian", (0, 1): "not psd"}, NotHermitian),
+        ({(1, 1): "not psd"}, NotPSD),
+        ({(1, 0): "non-finite", (1, 1): "not psd"}, ValueError),
+    ],
+)
+def test_rank_bounds_raises_for_the_first_bad_member(bad, error):
+    # a Kraus channel carrying a malformed certificate: the count must raise
+    # what building the refinement raises, for the first bad member in the
+    # order F_1, R_1, F_2, R_2
+    rng = SeededRng(9700)
+    d = 2
+    terms = [[rng.psd(d) / 4, rng.psd(d) / 4] for _ in range(2)]
+    for (t, k), kind in bad.items():
+        if kind == "not psd":
+            terms[t][k] = -terms[t][k]
+        elif kind == "non-finite":
+            terms[t][k] = np.full((d, d), np.inf)
+        else:
+            terms[t][k] = terms[t][k] + np.array([[0, 1], [0, 0]])
+    cert = HolevoEnsemble(d, d, tuple((f, r) for f, r in terms))
+    ch = kraus_channel([np.eye(d) / np.sqrt(2)] * 2, certificate=cert)
+    with pytest.raises(error) as built:
+        holevo_to_kraus(cert)
+    with pytest.raises(error) as counted:
+        rank_bounds(ch)
+    assert str(counted.value) == str(built.value)
+    if error is NotPSD:
+        assert str(counted.value) == "ensemble member has an eigenvalue below the psd floor"
 
 
 def test_rank_bounds_refuses_non_eb():
