@@ -39,6 +39,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _psd_values,
+    _rank_count,
     _sym,
     as_matrix,
     herm_eig,
@@ -217,7 +218,8 @@ class CommutantReport:
 
 
 def _check_dims(d1: int, d2: int) -> None:
-    if not (isinstance(d1, int) and isinstance(d2, int) and d1 >= 1 and d2 >= 1):
+    # type(), not isinstance: bool is an int subclass, and True is no dimension
+    if not (type(d1) is int and type(d2) is int and d1 >= 1 and d2 >= 1):
         raise DimensionMismatch(f"dimensions must be positive integers, got {d1!r}, {d2!r}")
 
 
@@ -608,7 +610,7 @@ def commutant_dimension(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CommutantR
     blocks = to_choi(ch).matrix.reshape(d1, d2, d1, d2)
     images = blocks.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
     _, sigma, vh = np.linalg.svd(images, full_matrices=False)
-    r = int(np.count_nonzero(sigma > tol.rank_rel * sigma[0]))
+    r = int(_rank_count(sigma, tol))
     rank = 0
     if r:
         system = _commutator_system(vh[:r].reshape(r, d2, d2))

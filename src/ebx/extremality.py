@@ -54,6 +54,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _fix_phases,
+    _rank_count,
     _sym,
     herm_eig,
     is_psd,
@@ -92,6 +93,11 @@ _STATE_MATCH = 1e-9
 # fixed seed for the generic separating combination in extract_canonical,
 # so extraction is deterministic unless the caller supplies a stream
 _EXTRACTION_SEED = 1729
+
+
+def _same_state(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether unit vectors u and v are one pure state: |<u, v>| >= 1 - _STATE_MATCH."""
+    return abs(np.vdot(u, v)) >= 1.0 - _STATE_MATCH
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,9 +278,9 @@ def extract_canonical(
     eigenspaces = _joint_eigenspaces(images, gen, tol)
     vs = np.concatenate(eigenspaces, axis=1).T  # joint eigenvectors as rows
     densities = _sym(_apply_stack(adjoint(ch), vs[:, :, None] * vs.conj()[:, None, :]))
-    sigma = np.linalg.svd(densities, compute_uv=False)
-    for density, s in zip(densities, sigma):
-        if np.count_nonzero(s > tol.rank_rel * s[0]) != 1:
+    ranks = _rank_count(np.linalg.svd(densities, compute_uv=False), tol)
+    for density, rank in zip(densities, ranks):
+        if rank != 1:
             raise NotExtreme("an induced state is not pure (rank > 1)")
         if abs(np.trace(density) - 1.0) > tol.eq_abs:
             raise NotExtreme("an induced state is not normalized")
@@ -284,7 +290,7 @@ def extract_canonical(
     groups: list[tuple[np.ndarray, list[np.ndarray]]] = []
     for u, v in zip(states, vs):
         for gu, members in groups:
-            if abs(np.vdot(gu, u)) >= 1.0 - _STATE_MATCH:
+            if _same_state(gu, u):
                 members.append(v)
                 break
         else:
@@ -317,7 +323,7 @@ def _check_form_invariants(form: CanonicalEBForm, tol: Tolerance, failure=Struct
             raise failure("block projection is not idempotent")
     for i in range(form.n_blocks):
         for j in range(i + 1, form.n_blocks):
-            if abs(np.vdot(form.states[i], form.states[j])) >= 1.0 - _STATE_MATCH:
+            if _same_state(form.states[i], form.states[j]):
                 raise failure("two blocks carry the same pure state")
             if max_abs(form.projections[i] @ form.projections[j]) > 100 * tol.eq_abs:
                 raise failure("block projections are not orthogonal")
@@ -425,21 +431,45 @@ def dominates_eb(big: Channel, small: Channel, tol: Tolerance = DEFAULT_TOL) -> 
     """Three-valued verdict on whether big - small is entanglement breaking."""
     _check_same_dims(big, small)
     diff = to_choi(big).matrix - to_choi(small).matrix
-    not_cp = False
     try:
-        if not is_psd(diff, tol):
-            not_cp = True
-    except NotHermitian:
-        not_cp = True
-    if not_cp:
+        return eb_verdict(choi_channel(diff, big.d1, big.d2), tol)
+    except NotCP:
         # not CP, so certainly not EB (and in particular not PPT)
         return EBVerdict(ppt=False, conclusive=True, is_eb="no", certificate=None)
-    return eb_verdict(choi_channel(diff, big.d1, big.d2), tol)
 
 
 # ---------------------------------------------------------------------------
 # derivatives of dominated channels
 # ---------------------------------------------------------------------------
+
+
+def _dominated_barycenter(
+    canonical: CanonicalEBForm, psi: Channel, tol: Tolerance
+) -> tuple[Channel, np.ndarray]:
+    """Check the form, the dims, then domination of psi; return Phi and Psi(I)."""
+    _check_form_invariants(canonical, tol)
+    if (psi.d1, psi.d2) != (canonical.d1, canonical.d2):
+        raise DimensionMismatch("dominated channel dimensions do not match the form")
+    phi = reconstruct(canonical)
+    if not dominates_cp(phi, psi, tol):
+        raise PreconditionDomination(
+            "the canonical channel does not dominate psi in the CP order"
+        )
+    return phi, _sym(apply(psi, np.eye(canonical.d1)))
+
+
+def _positive_contraction_eig(
+    m: np.ndarray, subject: str, tol: Tolerance
+) -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig(m)``, after checking its spectrum is in [0, 1] up to the psd floor."""
+    vals, vecs = herm_eig(m, tol)
+    floor = tol.psd_floor * max(1.0, float(np.max(np.abs(vals))))
+    if vals[-1] < -floor or vals[0] > 1.0 + floor:
+        raise VerificationFailed(
+            f"{subject} is not a positive contraction "
+            f"(eigenvalues in [{vals[-1]:.3e}, {vals[0]:.3e}])"
+        )
+    return vals, vecs
 
 
 def rn_derivative(
@@ -450,27 +480,13 @@ def rn_derivative(
     For a canonical Phi, any CP map Psi it dominates has the form
     Psi(X) = sum_i <u_i, X u_i> R_i with R_i = P_i R P_i and R = Psi(I) a
     positive contraction commuting with the range of Phi. All of this is
-    verified; violations raise VerificationFailed.
+    verified; violations raise VerificationFailed. A psi that is not CP
+    raises NotCP before any check of the form or of the dims.
     """
-    _check_form_invariants(canonical, tol)
-    if (psi.d1, psi.d2) != (canonical.d1, canonical.d2):
-        raise DimensionMismatch("dominated channel dimensions do not match the form")
     if not predicates(psi, tol).is_cp:
         raise NotCP("dominated map must be completely positive")
-    phi = reconstruct(canonical)
-    if not dominates_cp(phi, psi, tol):
-        raise PreconditionDomination(
-            "the canonical channel does not dominate psi in the CP order"
-        )
-    r = _sym(apply(psi, np.eye(canonical.d1)))
-
-    vals, _ = herm_eig(r, tol)
-    floor = tol.psd_floor * max(1.0, float(np.max(np.abs(vals))))
-    if vals[-1] < -floor or vals[0] > 1.0 + floor:
-        raise VerificationFailed(
-            f"barycenter Psi(I) is not a positive contraction "
-            f"(eigenvalues in [{vals[-1]:.3e}, {vals[0]:.3e}])"
-        )
+    phi, r = _dominated_barycenter(canonical, psi, tol)
+    _positive_contraction_eig(r, "barycenter Psi(I)", tol)
 
     projections = canonical.projections
     per_block = tuple(p @ r @ p for p in projections)
@@ -528,14 +544,12 @@ def locate_dominated_rank_one(
         raise NotDominated("the rank-one map is not dominated by the canonical channel")
     x_hat = xv / np.linalg.norm(xv)
     y_norm = float(np.linalg.norm(yv))
-    matches = []
-    for j, (u, p) in enumerate(canonical.blocks):
-        state_match = abs(np.vdot(x_hat, u)) >= 1.0 - _STATE_MATCH
-        range_match = (
-            float(np.linalg.norm(yv - p @ yv)) <= 100 * tol.eq_abs * y_norm
-        )
-        if state_match and range_match:
-            matches.append(j)
+    matches = [
+        j
+        for j, (u, p) in enumerate(canonical.blocks)
+        if _same_state(x_hat, u)
+        and float(np.linalg.norm(yv - p @ yv)) <= 100 * tol.eq_abs * y_norm
+    ]
     if len(matches) != 1:
         raise StructureViolation(
             f"domination holds but {len(matches)} blocks match (expected exactly 1); "
@@ -580,13 +594,7 @@ def arveson_derivative(
             f"Psi is not expressible in phi's Kraus frame (residual {residual:.3e}); "
             "its Kraus span may exceed phi's"
         )
-    vals, vecs = herm_eig(t, tol)
-    floor = tol.psd_floor * max(1.0, float(np.max(np.abs(vals))))
-    if vals[-1] < -floor or vals[0] > 1.0 + floor:
-        raise VerificationFailed(
-            f"coefficient matrix is not a positive contraction "
-            f"(eigenvalues in [{vals[-1]:.3e}, {vals[0]:.3e}])"
-        )
+    vals, vecs = _positive_contraction_eig(t, "coefficient matrix", tol)
     clamped = np.clip(vals, 0.0, 1.0)
     t = _sym((vecs * clamped) @ vecs.conj().T)
     return ArvesonDerivative(T=t, residual=float(residual))
@@ -602,15 +610,7 @@ def extremality_witness(
     channel with invertible barycenter arises from Phi by conjugation. For
     canonical Phi the witness is simply the positive square root of Psi(I).
     """
-    _check_form_invariants(canonical, tol)
-    if (psi.d1, psi.d2) != (canonical.d1, canonical.d2):
-        raise DimensionMismatch("dominated channel dimensions do not match the form")
-    phi = reconstruct(canonical)
-    if not dominates_cp(phi, psi, tol):
-        raise PreconditionDomination(
-            "the canonical channel does not dominate psi in the CP order"
-        )
-    barycenter = _sym(apply(psi, np.eye(canonical.d1)))
+    phi, barycenter = _dominated_barycenter(canonical, psi, tol)
     if svd_rank(barycenter, tol) < canonical.d2:
         raise NotInvertible("Psi(I) is numerically singular")
     z = psd_sqrt(barycenter, tol)
@@ -657,7 +657,7 @@ def unitary_equivalent(
         for j, (ub, _) in enumerate(b.blocks):
             if j in used:
                 continue
-            if abs(np.vdot(ua, ub)) >= 1.0 - _STATE_MATCH and ranks_a[i] == ranks_b[j]:
+            if _same_state(ua, ub) and ranks_a[i] == ranks_b[j]:
                 found = j
                 break
         if found is None:

@@ -115,11 +115,14 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 def svd_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank: number of singular values above rank_rel * sigma_max."""
-    a = as_matrix(m)
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma.size == 0:
-        return 0
-    return int(np.count_nonzero(sigma > tol.rank_rel * sigma[0]))
+    return int(_rank_count(np.linalg.svd(as_matrix(m), compute_uv=False), tol))
+
+
+def _rank_count(sigma: np.ndarray, tol: Tolerance) -> int | np.ndarray:
+    """How many of a descending spectrum's values exceed ``tol.rank_rel`` times
+    its first; one count per row of a stack, 0 for an empty spectrum."""
+    above = sigma > tol.rank_rel * sigma[..., :1]
+    return np.count_nonzero(above, axis=-1 if above.ndim > 1 else None)  # no axis: numpy's fast path
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -164,10 +167,5 @@ def nullspace(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     The kernel dimension is (columns - svd_rank), using the same singular
     value cutoff as svd_rank. Returns a (cols, dim) array; dim may be zero.
     """
-    a = as_matrix(m)
-    _, sigma, vh = np.linalg.svd(a, full_matrices=True)
-    if sigma.size == 0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sigma > tol.rank_rel * sigma[0]))
-    return vh[rank:].conj().T
+    _, sigma, vh = np.linalg.svd(as_matrix(m), full_matrices=True)
+    return vh[_rank_count(sigma, tol):].conj().T

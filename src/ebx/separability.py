@@ -76,13 +76,11 @@ def partial_transpose_choi(choi: np.ndarray, d1: int, d2: int) -> np.ndarray:
 
 
 def is_ppt(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether both the Choi matrix and its partial transpose are psd."""
-    choi = to_choi(ch).matrix
+    """Whether both the Choi matrix and its partial transpose are psd:
+    ``eb_verdict(ch, tol).ppt``, or False where ``eb_verdict`` raises NotCP."""
     try:
-        if not is_psd(choi, tol):
-            return False
-        return bool(is_psd(partial_transpose_choi(choi, ch.d1, ch.d2), tol))
-    except NotHermitian:
+        return eb_verdict(ch, tol).ppt
+    except NotCP:
         return False
 
 
@@ -90,7 +88,8 @@ def eb_verdict(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> EBVerdict:
     """Three-valued entanglement-breaking decision for a CP channel.
 
     One psd check of the Choi matrix (NotCP when it fails) and one of its
-    partial transpose, whose entries are a permutation of the Choi matrix's.
+    partial transpose, whose entries are a permutation of the Choi matrix's:
+    the toolkit's one CP/PPT decision, read by ``is_ppt`` and ``dominates_eb``.
     """
     choi = to_choi(ch).matrix
     try:

@@ -96,7 +96,7 @@ def channel_from_json(doc: Any) -> Channel:
         if field not in doc:
             raise ParseError(f"missing required field {field!r}")
     d1, d2 = doc["d1"], doc["d2"]
-    if not isinstance(d1, int) or not isinstance(d2, int) or d1 < 1 or d2 < 1:
+    if not (type(d1) is int and type(d2) is int and d1 >= 1 and d2 >= 1):
         raise ParseError("d1 and d2 must be positive integers")
     label = doc.get("label")
     if label is not None and not isinstance(label, str):

@@ -33,8 +33,8 @@ RANDOM_KINDS = ("povm-ensemble", "cstar-extreme")
 RANDOM_SHAPES = ((2, 2), (3, 3), (2, 4), (4, 2))
 RANDOM_SEED = 1
 
-# the commands recorded for every input, as argv before the file name
-COMMANDS = (("analyze", "--json"), ("km", "--json"))
+# the subcommands recorded for every input, each run as `ebx <command> <file> --json`
+COMMANDS = ("analyze", "km")
 
 
 def run_cli(argv: list[str]) -> dict:
@@ -43,10 +43,6 @@ def run_cli(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return {"exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
-def record_key(command: tuple[str, ...]) -> str:
-    return " ".join(command)
 
 
 def _write_inputs() -> None:
@@ -74,10 +70,7 @@ def record(name: str) -> dict:
     cwd = os.getcwd()
     os.chdir(INPUTS)
     try:
-        return {
-            record_key(command): run_cli([command[0], name, *command[1:]])
-            for command in COMMANDS
-        }
+        return {f"{command} --json": run_cli([command, name, "--json"]) for command in COMMANDS}
     finally:
         os.chdir(cwd)
 

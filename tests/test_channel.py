@@ -75,6 +75,12 @@ def test_choi_channel_shape_check():
         choi_channel(np.eye(5), 2, 2)
 
 
+@pytest.mark.parametrize("dims", [(True, True), (True, 1), (1, False)])
+def test_boolean_dims_are_rejected(dims):
+    with pytest.raises(DimensionMismatch, match="positive integers"):
+        choi_channel([[1]], *dims)
+
+
 def test_holevo_channel_shape_check():
     with pytest.raises(DimensionMismatch):
         holevo_channel([(np.eye(2), np.eye(3)), (np.eye(3), np.eye(3))])

@@ -152,6 +152,18 @@ def test_missing_file_is_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "km"])
+def test_boolean_dims_file_is_exit_1(tmp_path, capsys, command):
+    path = tmp_path / "bool_dims.json"
+    path.write_text(
+        '{"d1": true, "d2": true, "representation": {"type": "choi", "matrix": [[1]]}}'
+    )
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ebx: error: d1 and d2 must be positive integers\n"
+
+
 def test_empty_file_is_exit_1(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text("")

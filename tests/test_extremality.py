@@ -51,7 +51,14 @@ from ebx.gallery import (
     two_block_pinching_channel,
 )
 from ebx.channel import _choi_deviation
-from ebx.extremality import _check_commutative
+from ebx import channel, extremality, linalg, separability
+from ebx.extremality import (
+    _STATE_MATCH,
+    _check_commutative,
+    _check_form_invariants,
+    _positive_contraction_eig,
+    _same_state,
+)
 from ebx.linalg import _sym, max_abs, psd_sqrt
 
 from support import (
@@ -394,6 +401,29 @@ def test_dominates_eb_not_cp_is_no():
     assert v.is_eb == "no" and v.conclusive and not v.ppt
 
 
+def test_dominates_eb_no_for_non_hermitian_difference():
+    phi = diagonal_pinching_channel()
+    skew = to_choi(phi).matrix.copy()
+    skew[0, 1] += 1e-3
+    v = dominates_eb(phi, choi_channel(skew, 2, 2))
+    assert (v.is_eb, v.conclusive, v.ppt, v.certificate) == ("no", True, False, None)
+
+
+def test_dominates_eb_makes_two_psd_checks(monkeypatch):
+    calls = []
+
+    def counted(m, tol=linalg.DEFAULT_TOL):
+        calls.append(m)
+        return linalg.is_psd(m, tol)
+
+    for module in (channel, extremality, separability):
+        monkeypatch.setattr(module, "is_psd", counted)
+    phi = diagonal_pinching_channel()
+    v = dominates_eb(phi, compose_ad(np.sqrt(0.5) * E2, phi))
+    assert v.is_eb == "yes"
+    assert len(calls) == 2
+
+
 def test_domination_dimension_check():
     with pytest.raises(DimensionMismatch):
         dominates_cp(diagonal_pinching_channel(), identity_channel(3))
@@ -440,6 +470,82 @@ def test_rn_derivative_preconditions():
         rn_derivative(form, channel_from_map(lambda x: x.T, 2, 2))
     with pytest.raises(DimensionMismatch):
         rn_derivative(form, identity_channel(3))
+
+
+def test_rn_derivative_checks_cp_before_the_form_and_dims():
+    bad_form = CanonicalEBForm(2, 2, ((E2[:, 0], unit(2, 0, 0)), (E2[:, 0], unit(2, 1, 1))))
+    transpose3 = channel_from_map(lambda x: x.T, 3, 3)
+    with pytest.raises(NotCP):
+        rn_derivative(bad_form, transpose3)
+    with pytest.raises(NotCP):
+        rn_derivative(pinching_form(), transpose3)
+
+
+@pytest.mark.parametrize("derivative", [rn_derivative, extremality_witness])
+def test_dominated_map_prologue_order(derivative):
+    # the form's invariants, then the dims, then domination
+    bad_form = CanonicalEBForm(2, 2, ((E2[:, 0], unit(2, 0, 0)), (E2[:, 0], unit(2, 1, 1))))
+    with pytest.raises(StructureViolation, match="same pure state"):
+        derivative(bad_form, identity_channel(3))
+    with pytest.raises(DimensionMismatch, match="do not match the form"):
+        derivative(pinching_form(), identity_channel(3))
+    doubled = compose_ad(np.sqrt(2.0) * E2, reconstruct(pinching_form()))
+    with pytest.raises(PreconditionDomination, match="does not dominate psi"):
+        derivative(pinching_form(), doubled)
+
+
+@pytest.mark.parametrize("subject", ["barycenter Psi(I)", "coefficient matrix"])
+@pytest.mark.parametrize("vals", [(1.5, 0.25), (0.5, -0.125), (2.0, -1.0)])
+def test_positive_contraction_message(subject, vals):
+    hi, lo = vals
+    with pytest.raises(VerificationFailed) as info:
+        _positive_contraction_eig(np.diag([lo, hi]).astype(complex), subject, Tolerance())
+    assert str(info.value) == (
+        f"{subject} is not a positive contraction "
+        f"(eigenvalues in [{lo:.3e}, {hi:.3e}])"
+    )
+
+
+def test_positive_contraction_bounds_and_callers(monkeypatch):
+    tol = Tolerance()
+    vals, vecs = _positive_contraction_eig(np.diag([1.0, 0.0]).astype(complex), "m", tol)
+    assert vals.tolist() == [1.0, 0.0]
+    for inside in (1.0 + 0.5e-9, -0.5e-9):
+        _positive_contraction_eig(np.diag([inside, 0.5]).astype(complex), "m", tol)
+    for outside in (1.0 + 2e-9, -2e-9):
+        with pytest.raises(VerificationFailed):
+            _positive_contraction_eig(np.diag([outside, 0.5]).astype(complex), "m", tol)
+    subjects = []
+
+    def recorded(m, subject, tol):
+        subjects.append(subject)
+        return _positive_contraction_eig(m, subject, tol)
+
+    monkeypatch.setattr(extremality, "_positive_contraction_eig", recorded)
+    form = two_block_form()
+    rn_derivative(form, reconstruct(form))
+    phi = diagonal_pinching_channel()
+    arveson_derivative(phi, compose_ad(np.sqrt(0.5) * E2, phi))
+    assert subjects == ["barycenter Psi(I)", "coefficient matrix"]
+
+
+def _overlapping_pair(overlap: float):
+    """Unit vectors u, v in C^2 with |<u, v>| = overlap."""
+    return E2[:, 0], np.array([overlap, np.sqrt(1.0 - overlap**2)], dtype=complex)
+
+
+def test_same_state_flips_at_the_state_match():
+    assert _same_state(*_overlapping_pair(1.0 - 0.5 * _STATE_MATCH))
+    assert not _same_state(*_overlapping_pair(1.0 - 2.0 * _STATE_MATCH))
+    # through a caller: two blocks of one form are the same state or not
+    for overlap, same in ((1.0 - 0.5 * _STATE_MATCH, True), (1.0 - 2.0 * _STATE_MATCH, False)):
+        u, v = _overlapping_pair(overlap)
+        form = CanonicalEBForm(2, 2, ((u, unit(2, 0, 0)), (v, unit(2, 1, 1))))
+        if same:
+            with pytest.raises(StructureViolation, match="same pure state"):
+                _check_form_invariants(form, Tolerance())
+        else:
+            _check_form_invariants(form, Tolerance())
 
 
 def test_domination_factor_chain():

@@ -20,6 +20,8 @@ from ebx import (
     svd_rank,
 )
 
+from ebx.linalg import _rank_count
+
 from support import reference_herm_eig
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -134,6 +136,41 @@ def test_svd_rank_of_product_bounded(seed):
     a = rng.complex_normal((4, 3))
     b = rng.complex_normal((3, 5))
     assert svd_rank(a @ b) <= min(svd_rank(a), svd_rank(b))
+
+
+def _rank_stacks():
+    """(n, rows, cols) stacks: every planted rank of each shape (rank 0 is a
+    zero matrix), a graded spectrum across both cutoffs, and empty shapes."""
+    rng = SeededRng(31)
+    for rows, cols in ((3, 3), (4, 2), (2, 5), (1, 1)):
+        yield np.array([
+            rng.complex_normal((rows, k)) @ rng.complex_normal((k, cols))
+            for k in range(min(rows, cols) + 1)
+        ])
+    yield np.diag(np.geomspace(1.0, 1e-12, 7)).astype(complex)[None]
+    yield np.zeros((0, 3, 3), dtype=complex)
+    yield np.zeros((3, 0, 0), dtype=complex)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(rank_rel=1e-4)])
+def test_rank_count_equals_svd_rank_row_by_row(tol):
+    for stack in _rank_stacks():
+        sigma = np.linalg.svd(stack, compute_uv=False)
+        counts = _rank_count(sigma, tol)
+        assert counts.shape == (len(stack),)
+        assert counts.tolist() == [svd_rank(m, tol) for m in stack]
+        # the cutoff written out per row: rank_rel times the largest value
+        assert counts.tolist() == [
+            int(np.count_nonzero(s > tol.rank_rel * s.max())) if s.size else 0 for s in sigma
+        ]
+
+
+def test_rank_count_of_one_spectrum():
+    assert _rank_count(np.array([2.0, 1.0, 1e-10, 0.0]), DEFAULT_TOL) == 2
+    assert _rank_count(np.zeros(3), DEFAULT_TOL) == 0
+    assert _rank_count(np.zeros(0), DEFAULT_TOL) == 0
+    assert svd_rank(np.zeros((0, 0))) == 0
+    assert nullspace(np.zeros((0, 2))).shape == (2, 2)
 
 
 def test_is_psd():

@@ -31,8 +31,8 @@ from ebx import (
     to_choi,
 )
 from ebx.channel import _rank_one_count
-from ebx.gallery import depolarizing_channel, diagonal_pinching_channel
-from ebx.linalg import max_abs, svd_rank
+from ebx.gallery import depolarizing_channel, diagonal_pinching_channel, run_all
+from ebx.linalg import is_psd, max_abs, svd_rank
 
 
 def strip_certificate(ch):
@@ -67,6 +67,55 @@ def test_identity_channel_fails_ppt():
 
 def test_pinching_passes_ppt():
     assert is_ppt(diagonal_pinching_channel())
+
+
+def reference_is_ppt(ch, tol=DEFAULT_TOL):
+    """The stand-alone PPT test: psd Choi matrix and psd partial transpose,
+    False for a Choi matrix that is not hermitian."""
+    choi = to_choi(ch).matrix
+    try:
+        return is_psd(choi, tol) and is_psd(partial_transpose_choi(choi, ch.d1, ch.d2), tol)
+    except NotHermitian:
+        return False
+
+
+def _ppt_cases():
+    """Gallery channels, seeded draws in all three representations, and the
+    edge cases: the transpose map, a non-hermitian Choi matrix, zero maps."""
+    for outcome in run_all():
+        yield from outcome.channels.values()
+    yield from (diagonal_pinching_channel(), depolarizing_channel(2), identity_channel(2))
+    for seed in range(12):
+        rng = SeededRng(4200 + seed)
+        d1, d2 = 2 + seed % 3, 2 + (seed // 3) % 3
+        if seed % 2:
+            holevo = random_unital_eb(rng, d1, d2, 1 + seed % 4)
+        else:
+            holevo = random_cstar_extreme(rng, d1, d2)
+        kraus = kraus_channel(holevo_to_kraus(holevo.representation).operators)
+        yield from (holevo, kraus, strip_certificate(holevo))
+        # a generic Kraus channel, mostly not PPT
+        yield kraus_channel([rng.complex_normal((d1, d2)) for _ in range(1 + seed % 3)])
+    yield channel_from_map(lambda x: x.T, 2, 2)
+    skew = to_choi(diagonal_pinching_channel()).matrix.copy()
+    skew[0, 1] += 1e-3
+    yield choi_channel(skew, 2, 2)
+    yield kraus_channel([np.zeros((2, 3))])
+    yield choi_channel(np.zeros((6, 6)), 2, 3)
+
+
+def test_is_ppt_reads_the_verdict():
+    outcomes = set()
+    for ch in _ppt_cases():
+        try:
+            expected = eb_verdict(ch).ppt
+        except NotCP:
+            expected = False
+            outcomes.add("not CP")
+        assert is_ppt(ch) is expected
+        assert is_ppt(ch) == reference_is_ppt(ch)
+        outcomes.add(expected)
+    assert outcomes == {True, False, "not CP"}
 
 
 # --- verdicts ---

@@ -99,6 +99,15 @@ def test_malformed_documents_raise_parse_error(mutate):
         channel_from_json(doc)
 
 
+@pytest.mark.parametrize("dims", [(True, True), (True, 1), (1, False)])
+def test_boolean_dims_raise_parse_error(dims):
+    doc = {"d1": 1, "d2": 1, "representation": {"type": "choi", "matrix": [[1]]}}
+    assert channel_from_json(doc).d1 == 1
+    doc["d1"], doc["d2"] = dims
+    with pytest.raises(ParseError, match="^d1 and d2 must be positive integers$"):
+        channel_from_json(doc)
+
+
 def test_non_object_document_raises():
     with pytest.raises(ParseError):
         channel_from_json([1, 2, 3])
