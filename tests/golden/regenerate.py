@@ -1,7 +1,8 @@
 """Regenerate the golden CLI fixtures under tests/golden/.
 
-Writes the input channel files (``ebx gallery --all --emit`` plus seeded
-``ebx random`` draws) to ``inputs/`` and, for each one, the stdout, stderr
+Writes the input channel files (``ebx gallery --all --emit``, seeded
+``ebx random`` draws, and three channels that are not EB or whose EB verdict
+is open) to ``inputs/`` and, for each one, the stdout, stderr
 and exit code of ``ebx analyze --json`` and ``ebx km --json`` to
 ``outputs/<input stem>.json``. ``tests/test_golden.py`` compares the CLI
 against these records.
@@ -23,6 +24,15 @@ import os
 import shutil
 from pathlib import Path
 
+from ebx import (
+    SeededRng,
+    channel_from_map,
+    choi_channel,
+    identity_channel,
+    random_unital_eb,
+    save_channel,
+    to_choi,
+)
 from ebx.cli import main
 
 GOLDEN = Path(__file__).resolve().parent
@@ -32,6 +42,18 @@ OUTPUTS = GOLDEN / "outputs"
 RANDOM_KINDS = ("povm-ensemble", "cstar-extreme")
 RANDOM_SHAPES = ((2, 2), (3, 3), (2, 4), (4, 2))
 RANDOM_SEED = 1
+
+
+def _non_eb_inputs() -> dict:
+    """Inputs that reach the analyze notes the gallery never writes: a map
+    that is not CP, one that fails PPT, and one whose PPT test cannot decide."""
+    eb = random_unital_eb(SeededRng(1), 3, 3, n_terms=3)
+    return {
+        "transpose.m2.json": channel_from_map(lambda x: x.T, 2, 2, label="transpose-m2"),
+        "identity.m2.json": identity_channel(2),
+        "bare_choi.unital-eb.3x3.seed1.json": choi_channel(to_choi(eb).matrix, 3, 3),
+    }
+
 
 # the subcommands recorded for every input, each run as `ebx <command> <file> --json`
 COMMANDS = ("analyze", "km")
@@ -62,6 +84,8 @@ def _write_inputs() -> None:
             ])
             if result["exit_code"] != 0:
                 raise SystemExit(f"random failed: {result['stderr']}")
+    for name, ch in _non_eb_inputs().items():
+        save_channel(ch, INPUTS / name)
 
 
 def record(name: str) -> dict:
