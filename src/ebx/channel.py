@@ -588,14 +588,28 @@ def _commutator_system(basis: np.ndarray) -> np.ndarray:
     return system.reshape(r * d * d, d * d)
 
 
+def _channel_range_basis(ch: Channel, tol: Tolerance) -> np.ndarray:
+    """A Hilbert-Schmidt orthonormal basis B_1..B_r of the channel's range,
+    as an (r, d2, d2) stack.
+
+    The images Phi(E_ij) of the matrix units are the Choi blocks; the basis
+    is the right singular vectors of their row-major flattenings from one
+    thin SVD, kept above ``tol.rank_rel`` times the largest singular value,
+    so r <= min(d1^2, d2^2).
+    """
+    d1, d2 = ch.d1, ch.d2
+    blocks = to_choi(ch).matrix.reshape(d1, d2, d1, d2)
+    images = blocks.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+    _, sigma, vh = np.linalg.svd(images, full_matrices=False)
+    r = int(_rank_count(sigma, tol))
+    return vh[:r].reshape(r, d2, d2)
+
+
 def commutant_dimension(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CommutantReport:
     """Dimension of the commutant of the channel's range.
 
-    The images Phi(E_ij) of the matrix units are the Choi blocks; a thin SVD
-    of their row-major flattenings gives a Hilbert-Schmidt orthonormal basis
-    B_1..B_r of the range (r <= min(d1^2, d2^2)), keeping the right singular
-    vectors above ``tol.rank_rel`` times the largest singular value. The
-    commutant is then the kernel of the system A B_k = B_k A in vec(A): r
+    The range has an orthonormal basis B_1..B_r (``_channel_range_basis``),
+    so the commutant is the kernel of the system A B_k = B_k A in vec(A): r
     blocks I (x) B_k^T - B_k (x) I instead of d1^2, filled in place into one
     preallocated array (``_commutator_system``) rather than built by a kron
     pair per block. Its dimension is d2^2 minus the system's numerical rank.
@@ -604,17 +618,14 @@ def commutant_dimension(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CommutantR
     unit-norm generators (each block has operator norm <= 2), so when the
     range is the scalars the system is rounding noise, has rank 0, and the
     dimension is d2^2. The range is irreducible exactly when only scalars
-    commute with it.
+    commute with it. ``is_cstar_extreme`` calls this only when canonical
+    extraction fails.
     """
-    d1, d2 = ch.d1, ch.d2
-    blocks = to_choi(ch).matrix.reshape(d1, d2, d1, d2)
-    images = blocks.transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
-    _, sigma, vh = np.linalg.svd(images, full_matrices=False)
-    r = int(_rank_count(sigma, tol))
+    d2 = ch.d2
+    basis = _channel_range_basis(ch, tol)
     rank = 0
-    if r:
-        system = _commutator_system(vh[:r].reshape(r, d2, d2))
-        s = np.linalg.svd(system, compute_uv=False)
+    if len(basis):
+        s = np.linalg.svd(_commutator_system(basis), compute_uv=False)
         rank = int(np.count_nonzero(s > tol.rank_rel * max(float(s[0]), 1.0)))
     dim = d2 * d2 - rank
     return CommutantReport(dim=dim, is_irreducible=(dim == 1))

@@ -25,6 +25,7 @@ from .channel import (
     Channel,
     HolevoEnsemble,
     _apply_stack,
+    _channel_range_basis,
     _choi_deviation,
     _is_unital,
     _kraus_ops,
@@ -249,10 +250,13 @@ def extract_canonical(
 ) -> CanonicalEBForm:
     """Extract the block form (u_i, P_i) of a C*-extreme channel.
 
-    Steps: form the d1^2 images of a hermitian basis with one
-    ``_apply_stack``; check the range is commutative, each image's
-    commutators with the later ones taken in one batched product
-    (``_check_commutative``); jointly diagonalize the image stack; pull all
+    Steps: check the range is commutative on its orthonormal basis
+    (``_channel_range_basis``; a range commutes exactly when its basis
+    does), each basis element's commutators with the later ones taken in one
+    batched product (``_check_commutative``), so a C*-extreme channel
+    checks as many elements as it has blocks, at most d2, not d1^2 images;
+    form the d1^2 images of a hermitian basis with one ``_apply_stack`` and
+    jointly diagonalize that stack, which fixes the form's bits; pull all
     joint eigenvectors v back through the adjoint at once, to the states
     D = Phi^*(|v><v|), each of which must be a rank-one density matrix (one
     batched SVD; rank, then trace, checked eigenvector by eigenvector); take
@@ -272,9 +276,8 @@ def extract_canonical(
         raise NotEB("channel is certified not entanglement breaking")
     gen = (rng or SeededRng(_EXTRACTION_SEED)).generator
 
+    _check_commutative(_channel_range_basis(ch, tol), tol)
     images = _sym(_apply_stack(ch, np.array(hermitian_basis(ch.d1))))
-    _check_commutative(images, tol)
-
     eigenspaces = _joint_eigenspaces(images, gen, tol)
     vs = np.concatenate(eigenspaces, axis=1).T  # joint eigenvectors as rows
     densities = _sym(_apply_stack(adjoint(ch), vs[:, :, None] * vs.conj()[:, None, :]))
@@ -356,6 +359,12 @@ def is_cstar_extreme(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> ExtremalityRe
     the rank criterion holds), otherwise InternalInconsistency is raised.
     The preconditions are checked once, by ``extract_canonical``, which runs
     first: NotCP, NotUnital and NotEB come from there.
+
+    Irreducibility is read off the extraction when it succeeds: the range
+    then lies in the span of the commuting projections P_i, so it is
+    commutative and its commutant holds both the range and the identity.
+    That commutant is the scalars exactly when d2 == 1. Only when extraction
+    fails is ``commutant_dimension`` computed.
     """
     form: CanonicalEBForm | None
     try:
@@ -371,14 +380,18 @@ def is_cstar_extreme(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> ExtremalityRe
             f"rank criterion (choi_rank={choi_rank}, d2={ch.d2}) and canonical "
             f"extraction ({'succeeded' if form is not None else extraction_note}) disagree"
         )
-    cq_flag = cq_remark_flags(form, tol).all_overlaps_nonzero if form else None
-    commutant = commutant_dimension(ch, tol)
+    if form is not None:
+        cq_flag = cq_remark_flags(form, tol).all_overlaps_nonzero
+        irreducible = ch.d2 == 1
+    else:
+        cq_flag = None
+        irreducible = commutant_dimension(ch, tol).is_irreducible
     return ExtremalityReport(
         choi_rank=choi_rank,
         is_cstar_extreme=rank_extreme,
         canonical=form,
         is_cq_linear_extreme_in_ucp=cq_flag,
-        is_irreducible=commutant.is_irreducible,
+        is_irreducible=irreducible,
     )
 
 

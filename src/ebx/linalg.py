@@ -129,10 +129,23 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Positive semidefiniteness up to a relative floor.
 
     True when the smallest eigenvalue is >= -psd_floor * max(|eigenvalues|, 1).
-    Raises NotHermitian for input that is not hermitian within eq_abs. Only
-    the eigenvalues are computed: no eigenvectors, no phase fix.
+    Raises NotHermitian for input that is not hermitian within eq_abs.
+
+    A Cholesky factorisation of h + tau I, with
+    tau = psd_floor * max(1, max_i |h_ii|), certifies a "yes" first: for a
+    hermitian h the largest |eigenvalue| is at least the largest |h_ii|, so
+    tau never exceeds the floor above, and success proves the smallest
+    eigenvalue exceeds -tau. When the factorisation fails the decision comes
+    from the eigenvalues alone (no eigenvectors, no phase fix), so every
+    "no" is read off the spectrum.
     """
-    return bool(_psd_values(np.linalg.eigvalsh(_require_hermitian(as_matrix(m), tol)), tol))
+    h = _require_hermitian(as_matrix(m), tol)
+    tau = tol.psd_floor * max(1.0, float(np.abs(np.diagonal(h)).max()))
+    try:
+        np.linalg.cholesky(h + tau * np.eye(len(h)))
+        return True
+    except np.linalg.LinAlgError:
+        return bool(_psd_values(np.linalg.eigvalsh(h), tol))
 
 
 def _psd_values(vals: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -147,9 +147,16 @@ def save_channel(ch: Channel, path) -> None:
 
 
 def load_channel(path) -> Channel:
+    """Read a channel file. Raises ParseError for text that is not UTF-8,
+    is not JSON, nests too deeply for the parser, or is not a channel;
+    OSError for a file that cannot be opened."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply to parse") from exc
     return channel_from_json(doc)

@@ -1,6 +1,10 @@
 """End-to-end command line behavior, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,47 @@ def test_empty_file_is_exit_1(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text("")
     assert main(["analyze", str(path)]) == 1
+
+
+MALFORMED_FILES = {
+    "deep.json": ("[" * 100_000 + "]" * 100_000).encode(),
+    "not_utf8.json": b"\xff\xfe",
+}
+
+
+def test_deeply_nested_file_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_bytes(MALFORMED_FILES["deep.json"])
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ebx: error: JSON nested too deeply to parse\n"
+
+
+def test_non_utf8_file_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "not_utf8.json"
+    path.write_bytes(MALFORMED_FILES["not_utf8.json"])
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ebx: error: not UTF-8 text: ")
+    assert "can't decode byte 0xff in position 0" in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_file_is_exit_1_in_a_subprocess(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(MALFORMED_FILES[name])
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "ebx.cli", "analyze", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("ebx: error: ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_domain_error_is_exit_2(pinching_file, capsys):

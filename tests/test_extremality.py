@@ -157,6 +157,23 @@ def test_extract_not_pure_message_matches_reference():
         assert str(info.value) == message
 
 
+def _three_representations(ch):
+    """A Holevo channel as itself, as its rank-one Kraus family and as its bare Choi matrix."""
+    return (
+        ch,
+        kraus_channel(holevo_to_kraus(ch.representation).operators),
+        choi_channel(to_choi(ch).matrix, ch.d1, ch.d2),
+    )
+
+
+def _assert_extraction_matches_reference(ch):
+    form = extract_canonical(ch)
+    expected = reference_extract_blocks(ch)
+    assert form.n_blocks == len(expected)
+    for (u, p), (eu, ep) in zip(form.blocks, expected):
+        assert np.array_equal(u, eu) and np.array_equal(p, ep)
+
+
 @pytest.mark.parametrize(
     "d1, d2", [(5, 5), (6, 6), (4, 8), (8, 4), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 )
@@ -166,17 +183,55 @@ def test_extraction_matches_per_element_reference(d1, d2):
     for seed in range(3):
         rng = SeededRng(9500 + 100 * d1 + 10 * d2 + seed)
         extreme = random_cstar_extreme(rng, d1, d2, n_blocks=1 + seed * (d2 - 1) // 2)
-        choi = to_choi(extreme).matrix
-        for ch in (
-            extreme,
-            kraus_channel(holevo_to_kraus(extreme.representation).operators),
-            choi_channel(choi, d1, d2),
-        ):
-            form = extract_canonical(ch)
-            expected = reference_extract_blocks(ch)
-            assert form.n_blocks == len(expected)
-            for (u, p), (eu, ep) in zip(form.blocks, expected):
-                assert np.array_equal(u, eu) and np.array_equal(p, ep)
+        for ch in _three_representations(extreme):
+            _assert_extraction_matches_reference(ch)
+
+
+def _extreme_and_generic_draws():
+    """(channel, is_extreme) over seeded C*-extreme draws, with one block
+    and with d2 blocks, and three- and four-term unital EB draws, each in
+    all three representations."""
+    for k, (d1, d2) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4)]):
+        for seed in range(2):
+            rng = SeededRng(8700 + 10 * k + seed)
+            extreme = random_cstar_extreme(rng, d1, d2, n_blocks=1 + seed * (d2 - 1))
+            generic = random_unital_eb(rng, d1, d2, n_terms=3 + seed)
+            for kind, ch in ((True, extreme), (False, generic)):
+                for rep in _three_representations(ch):
+                    yield rep, kind
+
+
+def test_extraction_decides_commutativity_as_the_pairwise_image_loop():
+    # the range-basis check must fail exactly when some pair of the d1^2
+    # hermitian images fails to commute, and a passing extraction must still
+    # give the per-element loop's blocks bit for bit
+    for ch, extreme in _extreme_and_generic_draws():
+        first = reference_first_noncommuting(_range_images(ch))
+        assert (first is None) == extreme
+        if first is not None:
+            with pytest.raises(NotExtreme, match=r"^range is not commutative \(commutator deviation "):
+                extract_canonical(ch)
+        else:
+            _assert_extraction_matches_reference(ch)
+
+
+def test_irreducibility_is_read_off_a_successful_extraction(monkeypatch):
+    calls = []
+    counted = extremality.commutant_dimension
+    monkeypatch.setattr(
+        extremality, "commutant_dimension", lambda ch, tol: calls.append(ch) or counted(ch, tol)
+    )
+    one_dimensional = [
+        (random_cstar_extreme(SeededRng(8800), 3, 1), True),
+        (random_unital_eb(SeededRng(8801), 3, 1, n_terms=3), False),
+    ]
+    for ch, extreme in [*_extreme_and_generic_draws(), *one_dimensional]:
+        calls.clear()
+        report = is_cstar_extreme(ch)
+        assert report.is_cstar_extreme == extreme
+        assert report.is_irreducible == (commutant_dimension(ch).dim == 1)
+        assert len(calls) == (0 if extreme else 1)
+    assert is_cstar_extreme(one_dimensional[0][0]).is_irreducible
 
 
 def test_extract_rejects_nonunital_dominated_piece():

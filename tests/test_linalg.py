@@ -20,7 +20,7 @@ from ebx import (
     svd_rank,
 )
 
-from ebx.linalg import _rank_count
+from ebx.linalg import _psd_values, _rank_count
 
 from support import reference_herm_eig
 
@@ -184,22 +184,81 @@ def test_is_psd():
         is_psd(np.array([[0, 1], [0, 0]], dtype=float))
 
 
+def _fourier(d: int) -> np.ndarray:
+    """The unitary DFT matrix: q diag(s) q^* has every diagonal entry mean(s),
+    so its largest |diagonal entry| is below its largest |eigenvalue|."""
+    k = np.arange(d)
+    return np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+
+
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(psd_floor=1e-6)])
 @pytest.mark.parametrize("top", [0.5, 1.0, 40.0])
 @pytest.mark.parametrize("factor", [0.5, -0.5, 2.0, -2.0])
 def test_is_psd_near_its_threshold(tol, top, factor):
-    """Smallest eigenvalue at +-0.5x and +-2x the floor psd_floor * scale:
-    the eigenvalue-only check decides as the eigenvector-based one did."""
+    """Smallest eigenvalue at +-0.5x and +-2x the floor psd_floor * scale,
+    in a random frame and in the Fourier frame: the check decides as the
+    eigenvector-based one did."""
     rng = SeededRng(31)
     for d in (2, 3, 5, 8):
         scale = max(top, 1.0)
         spectrum = np.linspace(top, top / 4, d)
         spectrum[-1] = factor * tol.psd_floor * scale
-        q = rng.unitary(d)
+        for q in (rng.unitary(d), _fourier(d)):
+            m = (q * spectrum) @ q.conj().T
+            ref_vals, _ = reference_herm_eig(m)
+            expected = ref_vals[-1] >= -tol.psd_floor * max(np.max(np.abs(ref_vals)), 1.0)
+            assert is_psd(m, tol) == expected == (factor > -1.0)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(psd_floor=1e-6)])
+@pytest.mark.parametrize("factor", [-0.5, -2.0])
+def test_is_psd_near_its_threshold_on_a_zero_diagonal(tol, factor):
+    # a traceless spectrum in the Fourier frame: every h_ii is zero, so the
+    # Cholesky shift is the floor at scale 1 while the eigenvalues are not
+    for d in (2, 3, 5, 8):
+        low = factor * tol.psd_floor
+        spectrum = np.append(np.full(d - 1, -low / (d - 1)), low)
+        q = _fourier(d)
         m = (q * spectrum) @ q.conj().T
-        ref_vals, _ = reference_herm_eig(m)
-        expected = ref_vals[-1] >= -tol.psd_floor * max(np.max(np.abs(ref_vals)), 1.0)
-        assert is_psd(m, tol) == expected == (factor > -1.0)
+        assert max_abs(np.diagonal(m)) < 1e-6 * abs(low)
+        assert is_psd(m, tol) == (factor > -1.0)
+
+
+def _psd_rule(m, tol=DEFAULT_TOL) -> bool:
+    """The documented decision, read off the full spectrum."""
+    return bool(_psd_values(np.linalg.eigvalsh((m + m.conj().T) / 2.0), tol))
+
+
+def _psd_test_matrices(rng: SeededRng, d: int):
+    """A psd, a rank-deficient psd (zero at d = 1) and an indefinite d x d matrix."""
+    g = rng.complex_normal((d, d))
+    half = g[:, : d // 2]
+    spectrum = rng.generator.standard_normal(d)
+    spectrum[-1] = -abs(spectrum[-1]) - 0.1
+    q = rng.unitary(d)
+    mats = (g @ g.conj().T, half @ half.conj().T, (q * spectrum) @ q.conj().T)
+    return tuple((m + m.conj().T) / 2.0 for m in mats)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_is_psd_matches_the_spectral_rule(d):
+    rng = SeededRng(4100 + d)
+    for _ in range(4):
+        psd, deficient, indefinite = _psd_test_matrices(rng, d)
+        for m in (psd, deficient, 1e6 * psd, 1e-6 * deficient, indefinite, 1e6 * indefinite):
+            assert is_psd(m) == _psd_rule(m)
+        assert is_psd(psd) and is_psd(deficient) and not is_psd(indefinite)
+
+
+def test_is_psd_certifies_psd_input_without_eigenvalues(monkeypatch):
+    rng = SeededRng(4200)
+    inputs = [m for d in range(1, 10) for m in _psd_test_matrices(rng, d)[:2]]
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a psd input")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    assert all(is_psd(m) for m in inputs)
 
 
 def test_is_psd_still_rejects_non_hermitian_input():
