@@ -6,211 +6,30 @@ breaking via PPT and ensemble certificates, extracts the canonical block
 form of C*-extreme channels, computes derivative-type data of dominated
 channels, and decomposes unital EB channels into C*-convex combinations
 of extreme points.
+
+The public API is the union of the modules' ``__all__`` lists.
 """
 
-from .channel import (
-    Channel,
-    ChannelPredicates,
-    ChoiMatrix,
-    CommutantReport,
-    FixedPointCheck,
-    HolevoEnsemble,
-    KrausSet,
-    StinespringTriple,
-    adjoint,
-    apply,
-    channel_from_map,
-    choi_channel,
-    choi_to_kraus,
-    commutant_dimension,
-    compose_ad,
-    fixed_point_check,
-    hermitian_basis,
-    holevo_channel,
-    holevo_to_kraus,
-    identity_channel,
-    kraus_channel,
-    matrix_units,
-    predicates,
-    stinespring,
-    to_choi,
-)
-from .decomp import (
-    CStarCombination,
-    DecompositionCheck,
-    evaluate,
-    is_proper,
-    km_decompose,
-    verify_decomposition,
-)
-from .errors import (
-    CoefficientsNotNormalized,
-    DegenerateDraw,
-    DimensionMismatch,
-    EbxError,
-    InternalInconsistency,
-    NoCertificate,
-    NotCP,
-    NotDominated,
-    NotEB,
-    NotExtreme,
-    NotHermitian,
-    NotInvertible,
-    NotPSD,
-    NotUnital,
-    NotUnitalTP,
-    ParseError,
-    PreconditionDomination,
-    StructureViolation,
-    VerificationFailed,
-)
-from .extremality import (
-    ArvesonDerivative,
-    CanonicalEBForm,
-    CqFlags,
-    EquivalenceCheck,
-    ExtremalityReport,
-    LocatedPiece,
-    RNDerivative,
-    arveson_derivative,
-    cq_remark_flags,
-    dominates_cp,
-    dominates_eb,
-    extract_canonical,
-    extremality_witness,
-    is_cstar_extreme,
-    locate_dominated_rank_one,
-    reconstruct,
-    rn_derivative,
-    unitary_equivalent,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_matrix,
-    herm_eig,
-    is_psd,
-    max_abs,
-    nullspace,
-    pinv,
-    psd_sqrt,
-    svd_rank,
-)
-from .rng import SeededRng
-from .separability import (
-    PPT_CONCLUSIVE_LIMIT,
-    EBVerdict,
-    RankBounds,
-    eb_verdict,
-    is_ppt,
-    partial_transpose_choi,
-    random_cstar_extreme,
-    random_unital_eb,
-    rank_bounds,
-)
-from .serialize import channel_from_json, channel_to_json, load_channel, save_channel
+from . import channel, decomp, errors, extremality, linalg, rng, separability, serialize
+from .channel import *
+from .decomp import *
+from .errors import *
+from .extremality import *
+from .linalg import *
+from .rng import *
+from .separability import *
+from .serialize import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # channel model
-    "Channel",
-    "ChannelPredicates",
-    "ChoiMatrix",
-    "CommutantReport",
-    "FixedPointCheck",
-    "HolevoEnsemble",
-    "KrausSet",
-    "StinespringTriple",
-    "adjoint",
-    "apply",
-    "channel_from_map",
-    "choi_channel",
-    "choi_to_kraus",
-    "commutant_dimension",
-    "compose_ad",
-    "fixed_point_check",
-    "hermitian_basis",
-    "holevo_channel",
-    "holevo_to_kraus",
-    "identity_channel",
-    "kraus_channel",
-    "matrix_units",
-    "predicates",
-    "stinespring",
-    "to_choi",
-    # separability
-    "PPT_CONCLUSIVE_LIMIT",
-    "EBVerdict",
-    "RankBounds",
-    "eb_verdict",
-    "is_ppt",
-    "partial_transpose_choi",
-    "random_cstar_extreme",
-    "random_unital_eb",
-    "rank_bounds",
-    # extremality
-    "ArvesonDerivative",
-    "CanonicalEBForm",
-    "CqFlags",
-    "EquivalenceCheck",
-    "ExtremalityReport",
-    "LocatedPiece",
-    "RNDerivative",
-    "arveson_derivative",
-    "cq_remark_flags",
-    "dominates_cp",
-    "dominates_eb",
-    "extract_canonical",
-    "extremality_witness",
-    "is_cstar_extreme",
-    "locate_dominated_rank_one",
-    "reconstruct",
-    "rn_derivative",
-    "unitary_equivalent",
-    # decomposition
-    "CStarCombination",
-    "DecompositionCheck",
-    "evaluate",
-    "is_proper",
-    "km_decompose",
-    "verify_decomposition",
-    # numerics
-    "DEFAULT_TOL",
-    "Tolerance",
-    "SeededRng",
-    "as_matrix",
-    "herm_eig",
-    "is_psd",
-    "max_abs",
-    "nullspace",
-    "pinv",
-    "psd_sqrt",
-    "svd_rank",
-    # serialization
-    "channel_from_json",
-    "channel_to_json",
-    "load_channel",
-    "save_channel",
-    # errors
-    "EbxError",
-    "CoefficientsNotNormalized",
-    "DegenerateDraw",
-    "DimensionMismatch",
-    "InternalInconsistency",
-    "NoCertificate",
-    "NotCP",
-    "NotDominated",
-    "NotEB",
-    "NotExtreme",
-    "NotHermitian",
-    "NotInvertible",
-    "NotPSD",
-    "NotUnital",
-    "NotUnitalTP",
-    "ParseError",
-    "PreconditionDomination",
-    "StructureViolation",
-    "VerificationFailed",
+    *channel.__all__,
+    *separability.__all__,
+    *extremality.__all__,
+    *decomp.__all__,
+    *linalg.__all__,
+    *rng.__all__,
+    *serialize.__all__,
+    *errors.__all__,
 ]

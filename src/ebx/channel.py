@@ -643,14 +643,17 @@ def compose_ad(t, ch: Channel, label: str | None = None) -> Channel:
         raise DimensionMismatch(
             f"conjugating operator of shape {tm.shape}, expected {(ch.d2, ch.d2)}"
         )
+    ens = ch.holevo_certificate
+    if ens is not None:
+        ens = HolevoEnsemble(
+            ch.d1, ch.d2, tuple((f, tm.conj().T @ r @ tm) for f, r in ens.terms)
+        )
     rep = ch.representation
+    if isinstance(rep, HolevoEnsemble):
+        return Channel(ch.d1, ch.d2, ens, label=label)
     if isinstance(rep, KrausSet):
         new_rep: Representation = KrausSet(
             ch.d1, ch.d2, tuple(op @ tm for op in rep.operators)
-        )
-    elif isinstance(rep, HolevoEnsemble):
-        new_rep = HolevoEnsemble(
-            ch.d1, ch.d2, tuple((f, tm.conj().T @ r @ tm) for f, r in rep.terms)
         )
     else:
         blocks = rep.matrix.reshape(ch.d1, ch.d2, ch.d1, ch.d2)
@@ -658,10 +661,4 @@ def compose_ad(t, ch: Channel, label: str | None = None) -> Channel:
         new_rep = ChoiMatrix(
             ch.d1, ch.d2, new_blocks.reshape(ch.d1 * ch.d2, ch.d1 * ch.d2)
         )
-    cert = None
-    if not isinstance(new_rep, HolevoEnsemble) and ch.holevo_certificate is not None:
-        base = ch.holevo_certificate
-        cert = HolevoEnsemble(
-            ch.d1, ch.d2, tuple((f, tm.conj().T @ r @ tm) for f, r in base.terms)
-        )
-    return Channel(ch.d1, ch.d2, new_rep, label=label, certificate=cert)
+    return Channel(ch.d1, ch.d2, new_rep, label=label, certificate=ens)

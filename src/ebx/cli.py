@@ -37,7 +37,7 @@ from .extremality import (
     unitary_equivalent,
 )
 from .gallery import CASE_NAMES, run_all, run_case
-from .linalg import Tolerance, herm_eig, svd_rank
+from .linalg import DEFAULT_TOL, Tolerance, herm_eig, svd_rank
 from .rng import SeededRng
 from .separability import (
     eb_verdict,
@@ -49,8 +49,6 @@ from .serialize import _encode_matrix, _encode_scalar, channel_to_json, load_cha
 
 __all__ = ["main"]
 
-_DEFAULT_TOL = 1e-9
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the documented contract is 1
@@ -59,18 +57,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _tolerance(value: float) -> Tolerance:
+def _tolerance(value: float | None) -> Tolerance:
+    """One threshold for every field: ``value``, else EBX_TOL, else the default."""
+    if value is None:
+        raw = os.environ.get("EBX_TOL")
+        if raw is None:
+            value = DEFAULT_TOL.eq_abs
+        else:
+            try:
+                value = float(raw)
+            except ValueError:
+                raise EbxError(f"EBX_TOL is not a number: {raw!r}")
     return Tolerance(rank_rel=value, psd_floor=value, eq_abs=value)
-
-
-def _tol_default() -> float:
-    raw = os.environ.get("EBX_TOL")
-    if raw is None:
-        return _DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise EbxError(f"EBX_TOL is not a number: {raw!r}")
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
@@ -218,9 +216,9 @@ def _yn(v) -> str:
     return "yes" if v else "no"
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, tol: Tolerance) -> int:
     ch = load_channel(args.channel)
-    report = _build_report(ch, _tolerance(args.tol))
+    report = _build_report(ch, tol)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -233,9 +231,8 @@ def _cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_km(args) -> int:
+def _cmd_km(args, tol: Tolerance) -> int:
     ch = load_channel(args.channel)
-    tol = _tolerance(args.tol)
     comb = km_decompose(ch, tol)
     check = verify_decomposition(comb, ch, tol)
     doc = {
@@ -280,10 +277,9 @@ def _cmd_km(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rn(args) -> int:
+def _cmd_rn(args, tol: Tolerance) -> int:
     psi = load_channel(args.channel)
     phi = load_channel(args.dominating)
-    tol = _tolerance(args.tol)
     form = extract_canonical(phi, tol)
     deriv = rn_derivative(form, psi, tol)
     if args.json:
@@ -304,10 +300,9 @@ def _cmd_rn(args) -> int:
     return 0
 
 
-def _cmd_arveson(args) -> int:
+def _cmd_arveson(args, tol: Tolerance) -> int:
     psi = load_channel(args.channel)
     phi = load_channel(args.dominating)
-    tol = _tolerance(args.tol)
     deriv = arveson_derivative(phi, psi, tol)
     vals, _ = herm_eig(deriv.T, tol)
     if args.json:
@@ -335,10 +330,9 @@ def _cmd_arveson(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args, tol: Tolerance) -> int:
     a = load_channel(args.first)
     b = load_channel(args.second)
-    tol = _tolerance(args.tol)
     try:
         form_a = extract_canonical(a, tol)
         form_b = extract_canonical(b, tol)
@@ -363,9 +357,8 @@ def _cmd_equiv(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args, tol: Tolerance) -> int:
     rng = SeededRng(args.seed)
-    tol = _tolerance(args.tol)
     if args.kind == "povm-ensemble":
         n_terms = args.terms if args.terms is not None else args.d1 * args.d2
         ch = random_unital_eb(rng, args.d1, args.d2, n_terms=n_terms, tol=tol)
@@ -387,8 +380,7 @@ def _cmd_random(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gallery(args) -> int:
-    tol = _tolerance(args.tol)
+def _cmd_gallery(args, tol: Tolerance) -> int:
     outcomes = [run_case(args.case, tol)] if args.case else run_all(tol)
     if args.emit:
         os.makedirs(args.emit, exist_ok=True)
@@ -427,13 +419,19 @@ def _cmd_gallery(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_tol(sp) -> None:
+def _add_command(sub, name: str, fn, help: str, has_json: bool = True) -> _Parser:
+    """A subcommand that runs ``fn`` and takes --tol, and --json if ``has_json``."""
+    sp = sub.add_parser(name, help=help)
+    if has_json:
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument(
         "--tol",
         type=float,
         default=None,
         help="numerical tolerance (default: EBX_TOL env var or 1e-9)",
     )
+    sp.set_defaults(fn=fn)
+    return sp
 
 
 def _build_parser() -> _Parser:
@@ -441,45 +439,32 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sp = sub.add_parser("analyze", help="full report on a channel file")
+    sp = _add_command(sub, "analyze", _cmd_analyze, "full report on a channel file")
     sp.add_argument("channel", help="channel JSON file")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_tol(sp)
-    sp.set_defaults(fn=_cmd_analyze)
 
-    sp = sub.add_parser("km", help="decompose into C*-extreme factors")
+    sp = _add_command(sub, "km", _cmd_km, "decompose into C*-extreme factors")
     sp.add_argument("channel", help="channel JSON file (unital EB with ensemble)")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument("--emit", metavar="FILE", help="write the terms as JSON")
-    _add_tol(sp)
-    sp.set_defaults(fn=_cmd_km)
 
-    sp = sub.add_parser("rn", help="commuting derivative of a dominated channel")
+    sp = _add_command(sub, "rn", _cmd_rn, "commuting derivative of a dominated channel")
     sp.add_argument("channel", help="dominated channel JSON file")
     sp.add_argument(
         "--dominating", required=True, metavar="FILE", help="C*-extreme channel file"
     )
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_tol(sp)
-    sp.set_defaults(fn=_cmd_rn)
 
-    sp = sub.add_parser("arveson", help="coefficient matrix of a CP domination")
+    sp = _add_command(sub, "arveson", _cmd_arveson, "coefficient matrix of a CP domination")
     sp.add_argument("channel", help="dominated channel JSON file")
     sp.add_argument(
         "--dominating", required=True, metavar="FILE", help="dominating channel file"
     )
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_tol(sp)
-    sp.set_defaults(fn=_cmd_arveson)
 
-    sp = sub.add_parser("equiv", help="unitary equivalence of two extreme channels")
+    sp = _add_command(sub, "equiv", _cmd_equiv, "unitary equivalence of two extreme channels")
     sp.add_argument("first", help="channel JSON file")
     sp.add_argument("second", help="channel JSON file")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_tol(sp)
-    sp.set_defaults(fn=_cmd_equiv)
 
-    sp = sub.add_parser("random", help="generate a seeded random channel")
+    sp = _add_command(
+        sub, "random", _cmd_random, "generate a seeded random channel", has_json=False
+    )
     sp.add_argument(
         "--kind",
         choices=("povm-ensemble", "cstar-extreme"),
@@ -496,20 +481,15 @@ def _build_parser() -> _Parser:
     )
     sp.add_argument("--seed", type=int, required=True, help="RNG seed")
     sp.add_argument("--out", metavar="FILE", help="write to a file instead of stdout")
-    _add_tol(sp)
-    sp.set_defaults(fn=_cmd_random)
 
-    sp = sub.add_parser("gallery", help="run the built-in worked examples")
+    sp = _add_command(sub, "gallery", _cmd_gallery, "run the built-in worked examples")
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--case", choices=CASE_NAMES, help="run a single case")
     group.add_argument(
         "--all", action="store_true", help="run every case (the default)"
     )
     sp.add_argument("--emit", metavar="DIR", help="write case channels as JSON files")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument("-v", "--verbose", action="store_true", help="show every check")
-    _add_tol(sp)
-    sp.set_defaults(fn=_cmd_gallery)
 
     return parser
 
@@ -518,17 +498,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is None:
-            args.tol = _tol_default()
-        if args.tol <= 0 or args.tol > 1e-3:
-            raise EbxError(f"tolerance must be in (0, 1e-3], got {args.tol}")
-        return args.fn(args)
+        return args.fn(args, _tolerance(args.tol))
     except (ParseError, OSError) as exc:
         # bad files and bad paths are usage-level failures
         print(f"ebx: error: {exc}", file=sys.stderr)
         return 1
     except (EbxError, ValueError) as exc:
-        # ValueError covers out-of-range generator arguments (seeds, counts)
+        # ValueError covers out-of-range tolerances and generator arguments
         print(f"ebx: error: {exc}", file=sys.stderr)
         return 2
 

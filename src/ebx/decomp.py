@@ -21,6 +21,7 @@ from .channel import (
     _choi_deviation,
     _is_unital,
     _kraus_ops,
+    compose_ad,
     predicates,
 )
 from .errors import (
@@ -85,10 +86,10 @@ def evaluate(comb: CStarCombination, tol: Tolerance = DEFAULT_TOL) -> Channel:
     """Assemble the combination into a single channel.
 
     Coefficients must be normalized (sum T_i^* T_i = I) and every factor
-    unital, so the result is again unital. Kraus representations of the
-    factors are composed with the coefficients directly; when every factor
-    carries a Holevo ensemble the result keeps one too (terms (F, T^* R T)),
-    preserving the entanglement-breaking certificate through the mix.
+    unital, so the result is again unital. Each term is ``compose_ad(T, Phi)``;
+    when every factor is a Holevo ensemble the result concatenates their
+    terms (F, T^* R T), preserving the entanglement-breaking certificate
+    through the mix, and otherwise their Kraus operators V T.
     """
     gram = sum(t.conj().T @ t for t, _ in comb.terms)
     if max_abs(gram - np.eye(comb.d2)) > 100 * tol.eq_abs:
@@ -100,31 +101,16 @@ def evaluate(comb: CStarCombination, tol: Tolerance = DEFAULT_TOL) -> Channel:
         if not _is_unital(ch, tol):
             raise NotUnital("every factor in a combination must be unital")
 
-    all_holevo = all(
-        isinstance(ch.representation, HolevoEnsemble) for _, ch in comb.terms
-    )
-    if all_holevo:
-        terms = []
-        for t, ch in comb.terms:
-            for f, r in ch.representation.terms:
-                terms.append((f, t.conj().T @ r @ t))
-        return Channel(
-            comb.d1,
-            comb.d2,
-            HolevoEnsemble(comb.d1, comb.d2, tuple(terms)),
-            label="cstar-combination",
+    composed = [compose_ad(t, ch) for t, ch in comb.terms]
+    if all(isinstance(c.representation, HolevoEnsemble) for c in composed):
+        rep: HolevoEnsemble | KrausSet = HolevoEnsemble(
+            comb.d1, comb.d2, tuple(ft for c in composed for ft in c.representation.terms)
         )
-
-    ops = []
-    for t, ch in comb.terms:
-        for op in _kraus_ops(ch, tol):
-            ops.append(op @ t)
-    return Channel(
-        comb.d1,
-        comb.d2,
-        KrausSet(comb.d1, comb.d2, tuple(ops)),
-        label="cstar-combination",
-    )
+    else:
+        rep = KrausSet(
+            comb.d1, comb.d2, tuple(op for c in composed for op in _kraus_ops(c, tol))
+        )
+    return Channel(comb.d1, comb.d2, rep, label="cstar-combination")
 
 
 def is_proper(comb: CStarCombination, tol: Tolerance = DEFAULT_TOL) -> bool:

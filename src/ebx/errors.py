@@ -4,6 +4,28 @@ Everything derives from :class:`EbxError` so callers (and the CLI) can
 distinguish toolkit failures from programming errors with one except clause.
 """
 
+__all__ = [
+    "EbxError",
+    "NotHermitian",
+    "NotPSD",
+    "DimensionMismatch",
+    "NotCP",
+    "NotUnital",
+    "NotUnitalTP",
+    "NotEB",
+    "DegenerateDraw",
+    "NotExtreme",
+    "PreconditionDomination",
+    "NotDominated",
+    "StructureViolation",
+    "NotInvertible",
+    "VerificationFailed",
+    "InternalInconsistency",
+    "CoefficientsNotNormalized",
+    "NoCertificate",
+    "ParseError",
+]
+
 
 class EbxError(Exception):
     """Base class for all toolkit errors."""

@@ -41,6 +41,8 @@ class SeededRng:
         return (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
 
     def unit_vector(self, d: int) -> np.ndarray:
+        if d < 1:
+            raise ValueError(f"a unit vector needs dimension at least 1, got {d!r}")
         while True:
             v = self.complex_normal((d,))
             norm = float(np.linalg.norm(v))

@@ -4,10 +4,16 @@ A channel is entanglement breaking exactly when its Choi matrix is separable,
 which is equivalent to admitting a Holevo (measure-and-prepare) form. Since
 separability itself is hard in general, the verdict here is three valued:
 
-* channels carrying a Holevo certificate are "yes" by construction,
-* a failed positive-partial-transpose test is a definitive "no",
-* a passed PPT test is definitive ("yes") only when d1*d2 <= 6, and
-  "unknown" beyond that window.
+* a failed positive-partial-transpose test is a definitive "no", even when
+  a Holevo ensemble is attached: a separable Choi matrix is PPT, so every
+  EB map is PPT (Horodecki, Shor and Ruskai, Rev. Math. Phys. 15, 629), and
+  an ensemble on a map that fails PPT has a term that is not psd,
+* PPT channels carrying a Holevo certificate are "yes",
+* otherwise a passed PPT test is definitive ("yes") only when d1*d2 <= 6,
+  and "unknown" beyond that window.
+
+``DISTINCT_STATE_MARGIN`` is importable from this module but is not part of
+the public API, which is the union of the modules' ``__all__`` lists.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from .channel import (
     Channel,
     HolevoEnsemble,
+    _check_dims,
     _is_unital,
     _rank_one_count,
     to_choi,
@@ -31,7 +38,6 @@ __all__ = [
     "EBVerdict",
     "RankBounds",
     "PPT_CONCLUSIVE_LIMIT",
-    "DISTINCT_STATE_MARGIN",
     "partial_transpose_choi",
     "is_ppt",
     "eb_verdict",
@@ -52,8 +58,9 @@ class EBVerdict:
     """Outcome of the entanglement-breaking test.
 
     ``is_eb`` is "yes", "no" or "unknown"; ``conclusive`` marks definite
-    verdicts. A "no" always comes with ``ppt`` false; a "yes" always has a
-    certificate attached or holds within the PPT-conclusive window.
+    verdicts. A "no" always comes with ``ppt`` false and no certificate; a
+    "yes" always has ``ppt`` true and either a certificate attached or
+    d1*d2 within the PPT-conclusive window.
     """
 
     ppt: bool
@@ -98,10 +105,12 @@ def eb_verdict(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> EBVerdict:
         raise NotCP(f"Choi matrix is not hermitian: {exc}") from exc
     if not cp:
         raise NotCP("channel is not completely positive")
-    ppt = is_psd(partial_transpose_choi(choi, ch.d1, ch.d2), tol)
+    if not is_psd(partial_transpose_choi(choi, ch.d1, ch.d2), tol):
+        # every EB map is PPT, so this overrides any attached ensemble
+        return EBVerdict(ppt=False, conclusive=True, is_eb="no", certificate=None)
     cert = ch.holevo_certificate
     if cert is not None:
-        return EBVerdict(ppt=ppt, conclusive=True, is_eb="yes", certificate=cert)
+        return EBVerdict(ppt=True, conclusive=True, is_eb="yes", certificate=cert)
     if not np.any(choi):
         # the zero map prepares nothing; certify it with a zero ensemble
         zero = HolevoEnsemble(
@@ -110,8 +119,6 @@ def eb_verdict(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> EBVerdict:
             ((np.zeros((ch.d1, ch.d1), dtype=complex), np.zeros((ch.d2, ch.d2), dtype=complex)),),
         )
         return EBVerdict(ppt=True, conclusive=True, is_eb="yes", certificate=zero)
-    if not ppt:
-        return EBVerdict(ppt=False, conclusive=True, is_eb="no", certificate=None)
     if ch.d1 * ch.d2 <= PPT_CONCLUSIVE_LIMIT:
         return EBVerdict(ppt=True, conclusive=True, is_eb="yes", certificate=None)
     return EBVerdict(ppt=True, conclusive=False, is_eb="unknown", certificate=None)
@@ -157,6 +164,7 @@ def random_unital_eb(
     makes sum_i R_i = I, hence the channel unital. Draws whose normalizer S
     is numerically singular are retried a few times before DegenerateDraw.
     """
+    _check_dims(d1, d2)
     if n_terms < 1:
         raise ValueError("n_terms must be at least 1")
     for _ in range(10):
@@ -196,6 +204,7 @@ def random_cstar_extreme(
     exactly the C*-extreme points of the unital entanglement-breaking maps,
     so this generator produces certified positives for extremality tests.
     """
+    _check_dims(d1, d2)
     if n_blocks is None:
         n_blocks = d2
     if not (1 <= n_blocks <= d2):

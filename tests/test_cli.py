@@ -13,6 +13,7 @@ from ebx import (
     SeededRng,
     choi_channel,
     compose_ad,
+    holevo_channel,
     holevo_to_kraus,
     is_ppt,
     kraus_channel,
@@ -83,13 +84,20 @@ def test_analyze_json_report(pinching_file, capsys):
     }
 
 
+PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+
 def test_analyze_non_eb_channel(tmp_path, capsys):
-    path = write_channel(tmp_path, identity_channel(2), "id.json")
-    assert main(["analyze", path, "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["eb"]["is_eb"] == "no"
-    assert "extremality" not in report
-    assert any("fails PPT" in note for note in report["notes"])
+    # the identity as Kraus, and as Holevo terms (s/sqrt2, s/sqrt2) over the Paulis
+    pauli = holevo_channel([(s / np.sqrt(2), s / np.sqrt(2)) for s in PAULIS])
+    for ch in (identity_channel(2), pauli):
+        path = write_channel(tmp_path, ch, "id.json")
+        assert main(["analyze", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["eb"]["is_eb"] == "no"
+        assert report["eb"]["has_certificate"] is False
+        assert "extremality" not in report
+        assert any("fails PPT" in note for note in report["notes"])
 
 
 def test_analyze_non_cp_channel(tmp_path, capsys):
@@ -364,6 +372,24 @@ def test_random_rejects_bad_dims(capsys):
     argv = ["random", "--kind", "cstar-extreme", "--d1", "2", "--d2", "3",
             "--terms", "9", "--seed", "1"]
     assert main(argv) == 2  # more blocks than d2 is a domain error
+
+
+@pytest.mark.parametrize("kind", ["povm-ensemble", "cstar-extreme"])
+@pytest.mark.parametrize("d1, d2", [(0, 2), (2, 0), (-1, 2), (2, -1)])
+def test_random_nonpositive_dims_is_exit_2_in_a_subprocess(kind, d1, d2):
+    # a zero input dimension once made the unit-vector draw loop forever
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "ebx.cli", "random", "--kind", kind, "--d1", str(d1),
+         "--d2", str(d2), "--terms", "1", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"ebx: error: dimensions must be positive integers, got {d1}, {d2}\n"
+    )
 
 
 # --- gallery ---

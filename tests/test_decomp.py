@@ -11,9 +11,12 @@ from ebx import (
     NotCP,
     NotUnital,
     SeededRng,
+    apply,
     channel_from_map,
+    choi_channel,
     eb_verdict,
     evaluate,
+    hermitian_basis,
     holevo_channel,
     identity_channel,
     is_cstar_extreme,
@@ -22,6 +25,7 @@ from ebx import (
     kraus_channel,
     random_cstar_extreme,
     random_unital_eb,
+    to_choi,
     verify_decomposition,
 )
 from ebx.gallery import diagonal_pinching_channel, partial_averaging_channel
@@ -83,6 +87,31 @@ def test_evaluate_keeps_holevo_certificate():
     mixed = evaluate(comb)
     assert mixed.holevo_certificate is not None
     assert eb_verdict(mixed).is_eb == "yes"
+
+
+def test_evaluate_conjugates_each_factor_once():
+    # Holevo-only and Kraus-only combinations keep the bits of (F, T^* R T)
+    # and V T; a mixed one (Kraus, Choi, Holevo) is the sum of T^* Phi(X) T
+    rng = SeededRng(31)
+    ts = [rng.unitary(2) / np.sqrt(3) for _ in range(3)]
+    holevo = [random_unital_eb(rng, 2, 2, 2) for _ in ts]
+    kraus = [kraus_channel([rng.unitary(2)]) for _ in ts]
+    mixed = evaluate(CStarCombination(2, 2, tuple(zip(ts, holevo))))
+    want = [
+        (f, t.conj().T @ r @ t) for t, ch in zip(ts, holevo) for f, r in ch.representation.terms
+    ]
+    assert len(mixed.representation.terms) == len(want)
+    for (f, r), (wf, wr) in zip(mixed.representation.terms, want):
+        assert np.array_equal(f, wf) and np.array_equal(r, wr)
+    mixed = evaluate(CStarCombination(2, 2, tuple(zip(ts, kraus))))
+    want = [op @ t for t, ch in zip(ts, kraus) for op in ch.representation.operators]
+    assert all(np.array_equal(a, b) for a, b in zip(mixed.representation.operators, want))
+    choi = choi_channel(to_choi(holevo[1]).matrix, 2, 2)
+    factors = (kraus[0], choi, holevo[2])
+    mixed = evaluate(CStarCombination(2, 2, tuple(zip(ts, factors))))
+    for x in hermitian_basis(2):
+        expected = sum(t.conj().T @ apply(ch, x) @ t for t, ch in zip(ts, factors))
+        assert max_abs(apply(mixed, x) - expected) <= 1e-12
 
 
 def test_is_proper():

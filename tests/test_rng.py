@@ -39,6 +39,13 @@ def test_unit_vector_normalized():
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_unit_vector_rejects_empty_dimension(d):
+    # a zero-length draw has norm 0 and would be redrawn forever
+    with pytest.raises(ValueError):
+        SeededRng(5).unit_vector(d)
+
+
 def test_hermitian_is_hermitian():
     m = SeededRng(5).hermitian(4)
     assert max_abs(m - m.conj().T) == 0.0

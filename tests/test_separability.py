@@ -5,6 +5,7 @@ import pytest
 
 from ebx import (
     DEFAULT_TOL,
+    DimensionMismatch,
     HolevoEnsemble,
     NotCP,
     NotEB,
@@ -140,9 +141,26 @@ def test_small_dims_ppt_is_conclusive_yes():
     assert v.certificate is None
 
 
+PAULIS = (
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1.0, -1.0]),
+)
+
+
 def test_ppt_failure_is_conclusive_no():
-    v = eb_verdict(identity_channel(2))
-    assert v.is_eb == "no" and v.conclusive and not v.ppt
+    # every EB map is PPT, so a failed PPT test overrides any ensemble: the
+    # identity as Kraus, as Holevo terms (s/sqrt2, s/sqrt2) over the Paulis,
+    # and carrying the depolarizing ensemble as its certificate
+    for ch in (
+        identity_channel(2),
+        holevo_channel([(s / np.sqrt(2), s / np.sqrt(2)) for s in PAULIS]),
+        kraus_channel([np.eye(2)], certificate=depolarizing_channel(2).representation),
+    ):
+        v = eb_verdict(ch)
+        assert v.is_eb == "no" and v.conclusive and not v.ppt
+        assert v.certificate is None
 
 
 def test_large_dims_without_certificate_is_unknown():
@@ -269,9 +287,9 @@ def test_rank_bounds_counts_the_rank_one_refinement():
     ],
 )
 def test_rank_bounds_raises_for_the_first_bad_member(bad, error):
-    # a Kraus channel carrying a malformed certificate: the count must raise
-    # what building the refinement raises, for the first bad member in the
-    # order F_1, R_1, F_2, R_2
+    # a PPT Kraus channel carrying a malformed certificate: the count must
+    # raise what building the refinement raises, for the first bad member in
+    # the order F_1, R_1, F_2, R_2
     rng = SeededRng(9700)
     d = 2
     terms = [[rng.psd(d) / 4, rng.psd(d) / 4] for _ in range(2)]
@@ -283,7 +301,8 @@ def test_rank_bounds_raises_for_the_first_bad_member(bad, error):
         else:
             terms[t][k] = terms[t][k] + np.array([[0, 1], [0, 0]])
     cert = HolevoEnsemble(d, d, tuple((f, r) for f, r in terms))
-    ch = kraus_channel([np.eye(d) / np.sqrt(2)] * 2, certificate=cert)
+    depolarizing = holevo_to_kraus(depolarizing_channel(d).representation).operators
+    ch = kraus_channel(depolarizing, certificate=cert)
     with pytest.raises(error) as built:
         holevo_to_kraus(cert)
     with pytest.raises(error) as counted:
@@ -291,6 +310,9 @@ def test_rank_bounds_raises_for_the_first_bad_member(bad, error):
     assert str(counted.value) == str(built.value)
     if error is NotPSD:
         assert str(counted.value) == "ensemble member has an eigenvalue below the psd floor"
+    # the identity fails PPT, which the certificate cannot override
+    with pytest.raises(NotEB):
+        rank_bounds(kraus_channel([np.eye(d) / np.sqrt(2)] * 2, certificate=cert))
 
 
 def test_rank_bounds_refuses_non_eb():
@@ -324,6 +346,14 @@ def test_random_cstar_extreme_shape():
     assert svd_rank(to_choi(ch).matrix) == 3
     v = eb_verdict(ch)
     assert v.is_eb == "yes"
+
+
+@pytest.mark.parametrize("d1, d2", [(0, 2), (2, 0), (-1, 2), (2, -1)])
+def test_generators_reject_bad_dims(d1, d2):
+    with pytest.raises(DimensionMismatch):
+        random_unital_eb(SeededRng(1), d1, d2, n_terms=1)
+    with pytest.raises(DimensionMismatch):
+        random_cstar_extreme(SeededRng(1), d1, d2)
 
 
 def test_random_cstar_extreme_block_count_validation():
