@@ -38,6 +38,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _fix_phases,
     _psd_values,
     _rank_count,
     _sym,
@@ -396,80 +397,82 @@ def choi_to_kraus(c: ChoiMatrix, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     check (complete positivity and the existence of a Kraus form coincide).
     """
     try:
-        vecs = _psd_rank_one_split(c.matrix, tol)
+        ((vals, vecs, keep),) = _psd_spectra([c.matrix], tol=tol)
     except NotHermitian as exc:
         raise NotCP(f"Choi matrix is not hermitian: {exc}") from exc
     except NotPSD as exc:
         raise NotCP("Choi matrix has an eigenvalue below the psd floor") from exc
-    if not vecs:
+    if not keep.any():
         return KrausSet(c.d1, c.d2, (np.zeros((c.d1, c.d2), dtype=complex),))
+    ws = np.sqrt(vals[0, keep[0]]) * _fix_phases(vecs[0][:, keep[0]])
     # a scaled eigenvector w of the Choi matrix corresponds to the operator
     # with entries V[i, m] = conj(w[i*d2 + m]); this orientation is what
     # makes to_choi a left inverse (frozen by golden round-trip tests)
-    return KrausSet(c.d1, c.d2, tuple(w.conj().reshape(c.d1, c.d2) for w in vecs))
+    return KrausSet(c.d1, c.d2, tuple(w.conj().reshape(c.d1, c.d2) for w in ws.T))
 
 
 def holevo_to_kraus(h: HolevoEnsemble, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
     """Rank-one Kraus refinement of a Holevo ensemble.
 
-    Each term is split spectrally, F = sum |x_k><x_k| and R = sum |y_l><y_l|
-    with eigenvalue weights folded into the vectors, giving the rank-one
-    operators |x_k><y_l|. Raises NotPSD if any effect or output fails the
-    psd check. Zero terms are dropped; an all-zero ensemble yields the
-    single zero operator.
+    Each term is split spectrally (``_rank_one_pieces``), F = sum mu |u><u|
+    and R = sum nu |v><v| over the eigenvalues above ``tol.rank_rel`` times
+    the member's largest and above zero, giving the rank-one operators
+    sqrt(mu nu) |u><v|. The first member, in the order F_1, R_1, F_2, ...,
+    that is not finite, hermitian or psd raises ValueError, NotHermitian or
+    NotPSD. Zero terms are dropped; an all-zero ensemble yields the single
+    zero operator.
     """
-    ops: list[np.ndarray] = []
-    for f, r in h.terms:
-        xs = _psd_rank_one_split(f, tol)
-        ys = _psd_rank_one_split(r, tol)
-        for x in xs:
-            for y in ys:
-                ops.append(np.outer(x, y.conj()))
+    ops = [
+        np.outer(np.sqrt(mu) * u, (np.sqrt(nu) * v).conj())
+        for mu, u, nu, v in _rank_one_pieces(h, tol)
+    ]
     if not ops:
         return KrausSet(h.d1, h.d2, (np.zeros((h.d1, h.d2), dtype=complex),))
     return KrausSet(h.d1, h.d2, tuple(ops))
 
 
-def _psd_rank_one_split(m: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
-    """Vectors v_k with m = sum |v_k><v_k|; empty for the zero matrix."""
-    vals, vecs = herm_eig(m, tol)
-    if not _psd_values(vals, tol):
-        raise NotPSD("ensemble member has an eigenvalue below the psd floor")
-    keep = _rank_one_keep(vals, tol)
-    return [np.sqrt(v) * vecs[:, k] for k, v in enumerate(vals) if keep[k]]
+def _psd_spectra(*families, tol: Tolerance) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The spectra of psd matrices, one (values, vectors, keep) per family.
 
-
-def _rank_one_keep(vals: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Which eigenvalues of a psd matrix give a rank-one term: those above
-    ``tol.rank_rel`` times the largest magnitude and above zero (none for
-    the zero matrix). Decided along the last axis, so it takes a stack."""
-    scale = np.abs(vals).max(axis=-1, keepdims=True)
-    return (vals > tol.rank_rel * scale) & (vals > 0)
-
-
-def _rank_one_count(h: HolevoEnsemble, tol: Tolerance) -> int:
-    """``len(holevo_to_kraus(h, tol).operators)``, counted, not built.
-
-    Term t refines into k(F_t) k(R_t) operators, where k counts the
-    eigenvalues ``_rank_one_keep`` keeps; the effects and the outputs are
-    each checked for hermiticity and diagonalized as one stack. If any
-    member is non-finite, not hermitian or not psd, the refinement is built
-    after all, so the first bad member in the order F_1, R_1, F_2, ...
-    raises exactly what ``holevo_to_kraus`` raises.
+    Each family is a sequence of n square matrices of one size, decomposed
+    as one (n, d, d) stack: values (n, d) and vectors (n, d, d) in
+    ``herm_eig``'s descending order, phases not fixed, and keep (n, d)
+    marking the eigenvalues above ``tol.rank_rel`` times the member's
+    largest magnitude and above zero (none for a zero member). Members are
+    checked in the order families[0][0], families[1][0], families[0][1], ...
+    and the first that is non-finite, not hermitian or not psd raises what
+    ``herm_eig`` or the psd check would raise on it alone.
     """
-    effects = np.array([f for f, _ in h.terms], dtype=complex)
-    outputs = np.array([r for _, r in h.terms], dtype=complex)
-    if np.isfinite(effects).all() and np.isfinite(outputs).all():
-        counts = []
-        for stack in (effects, outputs):
-            dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-            vals = np.linalg.eigh(_sym(stack))[0]
-            if (dev > tol.eq_abs).any() or not _psd_values(vals, tol).all():
-                break
-            counts.append(np.count_nonzero(_rank_one_keep(vals, tol), axis=1))
-        else:
-            return max(int(counts[0] @ counts[1]), 1)
-    return len(holevo_to_kraus(h, tol).operators)
+    spectra, good = [], []
+    for family in families:
+        stack = np.array(family, dtype=complex)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        stack = np.where(finite[:, None, None], stack, 0)
+        dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        vals, vecs = np.linalg.eigh(_sym(stack))
+        vals, vecs = vals[:, ::-1], vecs[:, :, ::-1]
+        good.append(finite & (dev <= tol.eq_abs) & _psd_values(vals, tol))
+        scale = np.abs(vals).max(axis=1, keepdims=True)
+        spectra.append((vals, vecs, (vals > tol.rank_rel * scale) & (vals > 0)))
+    bad = ~np.stack(good, axis=1).ravel()
+    if bad.any():
+        k, f = divmod(int(bad.argmax()), len(families))
+        herm_eig(families[f][k], tol)  # raises for a non-finite or non-hermitian member
+        raise NotPSD("ensemble member has an eigenvalue below the psd floor")
+    return spectra
+
+
+def _rank_one_pieces(h: HolevoEnsemble, tol: Tolerance):
+    """The kept eigenpairs (mu, u, nu, v) of each term's F and R
+    (``_psd_spectra``), term by term, with the phases ``herm_eig`` fixes:
+    term (F, R) refines into the products mu nu tr(X |u><u|) |v><v|."""
+    (f_vals, f_vecs, f_keep), (r_vals, r_vecs, r_keep) = _psd_spectra(*zip(*h.terms), tol=tol)
+    for t in range(len(h.terms)):
+        us = _fix_phases(f_vecs[t][:, f_keep[t]])
+        vs = _fix_phases(r_vecs[t][:, r_keep[t]])
+        for mu, u in zip(f_vals[t, f_keep[t]], us.T):
+            for nu, v in zip(r_vals[t, r_keep[t]], vs.T):
+                yield mu, u, nu, v
 
 
 def adjoint(ch: Channel) -> Channel:

@@ -5,7 +5,9 @@ mixing by letting the weights be operator coefficients with
 sum_i T_i^* T_i = I. Every unital entanglement-breaking channel with a
 known Holevo ensemble decomposes this way into C*-extreme points; the
 construction here refines the ensemble spectrally, producing rank-one
-coefficients paired with the simplest extreme channels <u, X u> I.
+coefficients paired with the simplest extreme channels <u, X u> I. It keeps
+exactly the eigen-pieces ``holevo_to_kraus`` keeps and refuses the ensembles
+it refuses, such as one with a term that is not psd.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .channel import (
     _choi_deviation,
     _is_unital,
     _kraus_ops,
+    _rank_one_pieces,
     compose_ad,
     predicates,
 )
@@ -33,7 +36,7 @@ from .errors import (
     NotUnital,
 )
 from .extremality import is_cstar_extreme
-from .linalg import DEFAULT_TOL, Tolerance, _sym, herm_eig, max_abs, psd_sqrt, svd_rank
+from .linalg import DEFAULT_TOL, Tolerance, max_abs, psd_sqrt, svd_rank
 
 __all__ = [
     "CStarCombination",
@@ -43,9 +46,6 @@ __all__ = [
     "km_decompose",
     "verify_decomposition",
 ]
-
-# spectral weights below this are dropped from the decomposition outright
-_KM_WEIGHT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +122,17 @@ def km_decompose(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CStarCombination:
     """Decompose a unital EB channel into a C*-convex combination of
     C*-extreme channels, from its Holevo ensemble.
 
-    Each ensemble term (F, R) is refined spectrally: F = sum mu |psi><psi|
-    and R = sum nu |chi><chi| give weights lambda = mu nu with state psi and
-    direction chi. The factors <psi, X psi> I are C*-extreme (one block,
-    full projection) and the coefficients sqrt(lambda) |chi><chi| are rank
-    one, so the decomposition is never proper for d2 > 1. Weights below
-    1e-12 are dropped; any normalization defect that leaves behind is folded
-    into the largest coefficient.
+    Each ensemble term (F, R) is refined spectrally as ``holevo_to_kraus``
+    refines it: F = sum mu |psi><psi| and R = sum nu |chi><chi|, over the
+    eigenvalues above ``tol.rank_rel`` times the member's largest and above
+    zero, give weights lambda = mu nu with state psi and direction chi. The
+    factors <psi, X psi> I are C*-extreme (one block, full projection) and
+    the coefficients sqrt(lambda) |chi><chi| are rank one, so the
+    decomposition is never proper for d2 > 1. The first ensemble member, in
+    the order F_1, R_1, F_2, ..., that is not finite, not hermitian within
+    ``tol.eq_abs`` or not psd raises ValueError, NotHermitian or NotPSD. A
+    normalization defect above ``tol.eq_abs`` that the dropped eigenvalues
+    leave is folded into the largest coefficient.
     """
     p = predicates(ch, tol)
     if not p.is_cp:
@@ -141,26 +145,10 @@ def km_decompose(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CStarCombination:
             "decomposition needs a Holevo ensemble (representation or certificate)"
         )
 
-    pieces: list[tuple[float, np.ndarray, np.ndarray]] = []  # (lambda, u, v)
-    for f, r in ensemble.terms:
-        f_vals, f_vecs = herm_eig(_sym(f), tol)
-        r_vals, r_vecs = herm_eig(_sym(r), tol)
-        for a, mu in enumerate(f_vals):
-            if mu <= _KM_WEIGHT_FLOOR:
-                continue
-            for b, nu in enumerate(r_vals):
-                lam = float(mu * nu)
-                if lam <= _KM_WEIGHT_FLOOR:
-                    continue
-                pieces.append((lam, f_vecs[:, a], r_vecs[:, b]))
-
-    if not pieces:
-        raise NoCertificate("ensemble refinement produced no usable weight")
-
     d1, d2 = ch.d1, ch.d2
     terms: list[tuple[np.ndarray, Channel]] = []
-    for lam, u, v in pieces:
-        coeff = np.sqrt(lam) * np.outer(v, v.conj())
+    for mu, u, nu, v in _rank_one_pieces(ensemble, tol):
+        coeff = np.sqrt(mu * nu) * np.outer(v, v.conj())
         factor = Channel(
             d1,
             d2,
@@ -168,6 +156,8 @@ def km_decompose(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CStarCombination:
             label="pure-state-inflation",
         )
         terms.append((coeff, factor))
+    if not terms:
+        raise NoCertificate("ensemble refinement produced no usable weight")
 
     # dropped weights leave sum T^*T slightly short of I; absorb the defect
     # into the heaviest coefficient so normalization is exact

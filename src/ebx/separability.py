@@ -27,7 +27,7 @@ from .channel import (
     HolevoEnsemble,
     _check_dims,
     _is_unital,
-    _rank_one_count,
+    _psd_spectra,
     to_choi,
 )
 from .errors import DegenerateDraw, NotCP, NotEB, NotHermitian
@@ -129,9 +129,10 @@ def rank_bounds(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> RankBounds:
 
     The Choi rank is always a lower bound. The upper bound is the size of
     the rank-one refinement of the attached certificate when one exists,
-    counted from the spectra of its effects and outputs without building
-    the operators (``holevo_to_kraus`` would return that many), and the
-    generic (d1*d2)^2 cap otherwise. For a unital channel whose
+    counted, not built: term t gives k(F_t) k(R_t) operators, k counting
+    the eigenvalues above ``tol.rank_rel`` times the member's largest and
+    above zero, and a bad member raises what ``holevo_to_kraus`` raises.
+    Otherwise it is the generic (d1*d2)^2 cap. For a unital channel whose
     Choi rank equals d2 the two bounds collapse to d2 exactly.
     """
     verdict = eb_verdict(ch, tol)
@@ -143,7 +144,8 @@ def rank_bounds(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> RankBounds:
     choi_rank = svd_rank(to_choi(ch).matrix, tol)
     lower = choi_rank
     if verdict.certificate is not None:
-        upper = _rank_one_count(verdict.certificate, tol)
+        (_, _, f_keep), (_, _, r_keep) = _psd_spectra(*zip(*verdict.certificate.terms), tol=tol)
+        upper = max(int(np.count_nonzero(f_keep, axis=1) @ np.count_nonzero(r_keep, axis=1)), 1)
     else:
         upper = (ch.d1 * ch.d2) ** 2
     if choi_rank == ch.d2 and _is_unital(ch, tol):

@@ -4,8 +4,10 @@ Writes the input channel files (``ebx gallery --all --emit``, seeded
 ``ebx random`` draws, and three channels that are not EB or whose EB verdict
 is open) to ``inputs/`` and, for each one, the stdout, stderr
 and exit code of ``ebx analyze --json`` and ``ebx km --json`` to
-``outputs/<input stem>.json``. ``tests/test_golden.py`` compares the CLI
-against these records.
+``outputs/<input stem>.json``. The records of ``rn``, ``arveson``, ``equiv``
+and ``gallery --all`` on those inputs go to ``commands.json``, keyed by
+their command line. ``tests/test_golden.py`` compares the CLI against these
+records, and ``ebx random`` against the random input files.
 
 Run from the repository root:
 
@@ -38,6 +40,7 @@ from ebx.cli import main
 GOLDEN = Path(__file__).resolve().parent
 INPUTS = GOLDEN / "inputs"
 OUTPUTS = GOLDEN / "outputs"
+COMMANDS_RECORD = GOLDEN / "commands.json"
 
 RANDOM_KINDS = ("povm-ensemble", "cstar-extreme")
 RANDOM_SHAPES = ((2, 2), (3, 3), (2, 4), (4, 2))
@@ -57,6 +60,56 @@ def _non_eb_inputs() -> dict:
 
 # the subcommands recorded for every input, each run as `ebx <command> <file> --json`
 COMMANDS = ("analyze", "km")
+
+# C*-extreme inputs whose canonical blocks are all rank one, the M2 -> M2 ones
+# first: equiv builds its witness from a range basis of each block, which
+# LAPACK picks for a larger block
+_RANK_ONE_EXTREME = (
+    "diagonal_pinching.phi.json",
+    "diagonal_pinching.midpoint.json",
+    "impure_inflation.left.json",
+    "impure_inflation.right.json",
+    *(f"random.cstar-extreme.{d1}x{d2}.seed{RANDOM_SEED}.json" for d1, d2 in RANDOM_SHAPES),
+)
+
+# the other subcommands, each run as `ebx <argv> --json` on inputs that
+# determine the output. Every arveson dominating file is in Kraus form: the
+# Kraus frame of a Choi or Holevo file with a degenerate Choi spectrum is
+# LAPACK's choice. The last rn and arveson calls are refusals.
+OTHER_COMMANDS = (
+    *(
+        ("rn", psi, "--dominating", phi)
+        for psi, phi in (
+            ("diagonal_pinching.phi.json", "diagonal_pinching.midpoint.json"),
+            ("impure_inflation.left.json", "diagonal_pinching.phi.json"),
+            ("diagonal_pinching.midpoint.json", "impure_inflation.left.json"),
+            ("impure_inflation.right.json", "impure_inflation.right.json"),
+            ("two_block_pinching.psi.json", "two_block_pinching.phi.json"),
+            *((name, name) for name in _RANK_ONE_EXTREME[4:]),
+            ("averaged_state_domination.psi.json", "averaged_state_domination.phi.json"),
+            ("impure_inflation.right.json", "diagonal_pinching.phi.json"),
+        )
+    ),
+    *(
+        ("arveson", psi, "--dominating", phi)
+        for psi, phi in (
+            ("diagonal_pinching.phi.json", "diagonal_pinching.midpoint.json"),
+            ("diagonal_pinching.midpoint.json", "diagonal_pinching.phi.json"),
+            ("impure_inflation.left.json", "impure_inflation.left.json"),
+            ("identity.m2.json", "identity.m2.json"),
+            ("averaged_state_domination.phi.json", "impure_inflation.mixed.json"),
+            ("averaged_state_domination.psi.json", "impure_inflation.mixed.json"),
+            ("cp_not_eb_difference.psi.json", "impure_inflation.mixed.json"),
+            ("impure_inflation.mixed.json", "impure_inflation.mixed.json"),
+            ("transpose.m2.json", "impure_inflation.mixed.json"),
+        )
+    ),
+    *(("equiv", a, b) for a in _RANK_ONE_EXTREME[:5] for b in _RANK_ONE_EXTREME[:5]),
+    *(("equiv", name, name) for name in _RANK_ONE_EXTREME[5:]),
+    ("equiv", _RANK_ONE_EXTREME[6], _RANK_ONE_EXTREME[7]),
+    ("equiv", "averaged_state_domination.phi.json", "diagonal_pinching.phi.json"),
+    ("gallery", "--all"),
+)
 
 
 def run_cli(argv: list[str]) -> dict:
@@ -88,15 +141,26 @@ def _write_inputs() -> None:
         save_channel(ch, INPUTS / name)
 
 
-def record(name: str) -> dict:
-    """The golden records of one input file, run from inside ``inputs/`` so
+def _in_inputs(argvs: list[list[str]]) -> list[dict]:
+    """The records of several ``ebx`` calls, run from inside ``inputs/`` so
     that no message can carry an absolute path."""
     cwd = os.getcwd()
     os.chdir(INPUTS)
     try:
-        return {f"{command} --json": run_cli([command, name, "--json"]) for command in COMMANDS}
+        return [run_cli(argv) for argv in argvs]
     finally:
         os.chdir(cwd)
+
+
+def record(name: str) -> dict:
+    """The golden records of one input file."""
+    records = _in_inputs([[command, name, "--json"] for command in COMMANDS])
+    return {f"{command} --json": r for command, r in zip(COMMANDS, records)}
+
+
+def record_command(command: str) -> dict:
+    """The golden record of one ``commands.json`` key."""
+    return _in_inputs([command.split()])[0]
 
 
 def main_regenerate() -> None:
@@ -106,7 +170,12 @@ def main_regenerate() -> None:
         with open(OUTPUTS / path.name, "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=2)
             fh.write("\n")
+    commands = [" ".join((*argv, "--json")) for argv in OTHER_COMMANDS]
+    with open(COMMANDS_RECORD, "w", encoding="utf-8") as fh:
+        json.dump({c: record_command(c) for c in commands}, fh, indent=2)
+        fh.write("\n")
     print(f"wrote {len(list(OUTPUTS.glob('*.json')))} golden records to {OUTPUTS}")
+    print(f"wrote {len(commands)} golden records to {COMMANDS_RECORD}")
 
 
 if __name__ == "__main__":

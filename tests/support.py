@@ -20,9 +20,11 @@ from ebx import (
     apply,
     herm_eig,
     hermitian_basis,
+    holevo_channel,
     kraus_channel,
     matrix_units,
     nullspace,
+    random_unital_eb,
     svd_rank,
     to_choi,
 )
@@ -32,6 +34,28 @@ def unit(d: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((d, d), dtype=np.complex128)
     m[i, j] = 1.0
     return m
+
+
+PAULIS = (
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1.0, -1.0]),
+)
+
+
+def pauli_identity_channel() -> Channel:
+    """The identity on M2 as Holevo terms (s/sqrt2, s/sqrt2) over the Paulis:
+    CP and unital, but not EB, and three of its effects are not psd."""
+    return holevo_channel([(s / np.sqrt(2), s / np.sqrt(2)) for s in PAULIS])
+
+
+def negated_term_channel() -> Channel:
+    """A unital EB channel whose first Holevo term (F, R) is written as
+    (-F, -R): the same map, from an ensemble that is not psd."""
+    terms = list(random_unital_eb(SeededRng(11), 2, 2, n_terms=3).representation.terms)
+    terms[0] = (-terms[0][0], -terms[0][1])
+    return holevo_channel(terms)
 
 
 def random_invertible_contraction(rng: SeededRng, d: int,

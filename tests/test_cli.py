@@ -13,7 +13,6 @@ from ebx import (
     SeededRng,
     choi_channel,
     compose_ad,
-    holevo_channel,
     holevo_to_kraus,
     is_ppt,
     kraus_channel,
@@ -32,6 +31,8 @@ from ebx.gallery import (
     two_block_pinching_channel,
 )
 from ebx.linalg import max_abs, psd_sqrt
+
+from support import negated_term_channel, pauli_identity_channel
 
 
 def write_channel(tmp_path, ch, name):
@@ -84,13 +85,9 @@ def test_analyze_json_report(pinching_file, capsys):
     }
 
 
-PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
-
-
 def test_analyze_non_eb_channel(tmp_path, capsys):
     # the identity as Kraus, and as Holevo terms (s/sqrt2, s/sqrt2) over the Paulis
-    pauli = holevo_channel([(s / np.sqrt(2), s / np.sqrt(2)) for s in PAULIS])
-    for ch in (identity_channel(2), pauli):
+    for ch in (identity_channel(2), pauli_identity_channel()):
         path = write_channel(tmp_path, ch, "id.json")
         assert main(["analyze", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -283,6 +280,15 @@ def test_km_json_and_emit(tmp_path, capsys):
         (t := decode(term["coefficient"])).conj().T @ t for term in payload["terms"]
     )
     assert max_abs(gram - np.eye(2)) <= 1e-10
+
+
+@pytest.mark.parametrize("build", [negated_term_channel, pauli_identity_channel])
+def test_km_refuses_an_ensemble_with_a_non_psd_term(tmp_path, capsys, build):
+    path = write_channel(tmp_path, build(), "ensemble.json")
+    assert main(["km", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ebx: error: ensemble member has an eigenvalue below the psd floor\n"
 
 
 # --- rn / arveson ---

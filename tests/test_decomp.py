@@ -7,8 +7,11 @@ from ebx import (
     CoefficientsNotNormalized,
     CStarCombination,
     DimensionMismatch,
+    DEFAULT_TOL,
     NoCertificate,
     NotCP,
+    NotHermitian,
+    NotPSD,
     NotUnital,
     SeededRng,
     apply,
@@ -18,20 +21,29 @@ from ebx import (
     evaluate,
     hermitian_basis,
     holevo_channel,
+    holevo_to_kraus,
     identity_channel,
     is_cstar_extreme,
     is_proper,
     km_decompose,
     kraus_channel,
+    predicates,
     random_cstar_extreme,
     random_unital_eb,
+    rank_bounds,
     to_choi,
     verify_decomposition,
 )
 from ebx.gallery import diagonal_pinching_channel, partial_averaging_channel
 from ebx.linalg import max_abs, svd_rank
 
-from support import channel_distance, reference_choi_deviation, unit
+from support import (
+    channel_distance,
+    negated_term_channel,
+    pauli_identity_channel,
+    reference_choi_deviation,
+    unit,
+)
 
 E2 = np.eye(2, dtype=complex)
 
@@ -195,6 +207,38 @@ def test_km_preconditions():
         km_decompose(partial_averaging_channel())
     with pytest.raises(NoCertificate):
         km_decompose(diagonal_pinching_channel())  # Kraus built, no ensemble
+
+
+@pytest.mark.parametrize("build", [negated_term_channel, pauli_identity_channel])
+def test_km_refuses_an_ensemble_with_a_non_psd_term(build):
+    ch = build()
+    p = predicates(ch)
+    assert p.is_cp and p.is_unital  # the map itself meets km's preconditions
+    with pytest.raises(NotPSD, match="^ensemble member has an eigenvalue below the psd floor$"):
+        km_decompose(ch)
+
+
+def test_km_refuses_a_non_hermitian_term():
+    # (E11 + N) and (E11 - N) against the same output cancel: the map is
+    # X -> tr(X)/2 I, CP and unital, but two effects are not hermitian
+    n = unit(2, 0, 1)
+    e11, e22 = unit(2, 0, 0), unit(2, 1, 1)
+    ch = holevo_channel([(e11 + n, E2 / 4), (e11 - n, E2 / 4), (e22, E2 / 2)])
+    assert max_abs(to_choi(ch).matrix - np.kron(E2, E2) / 2) == 0.0
+    with pytest.raises(NotHermitian):
+        km_decompose(ch)
+
+
+def test_km_keeps_the_pieces_holevo_to_kraus_keeps():
+    # the eigenvalue 1e-10 of the first output is below rank_rel times its
+    # largest, so all three drop it; its weight is left out of the
+    # reconstruction, within eq_abs
+    e11, e22 = unit(2, 0, 0), unit(2, 1, 1)
+    ch = holevo_channel([(e11, np.diag([1.0, 1e-10])), (e22, np.diag([0.0, 1.0 - 1e-10]))])
+    comb = km_decompose(ch)
+    n_ops = len(holevo_to_kraus(ch.representation).operators)
+    assert comb.n_terms == n_ops == rank_bounds(ch).eb_rank_upper == 2
+    assert verify_decomposition(comb, ch).reconstruction_error <= DEFAULT_TOL.eq_abs
 
 
 def test_km_factors_are_certified():

@@ -23,6 +23,7 @@ from ebx import (
     holevo_to_kraus,
     identity_channel,
     is_ppt,
+    km_decompose,
     kraus_channel,
     partial_transpose_choi,
     predicates,
@@ -31,9 +32,10 @@ from ebx import (
     rank_bounds,
     to_choi,
 )
-from ebx.channel import _rank_one_count
 from ebx.gallery import depolarizing_channel, diagonal_pinching_channel, run_all
 from ebx.linalg import is_psd, max_abs, svd_rank
+
+from support import pauli_identity_channel
 
 
 def strip_certificate(ch):
@@ -141,21 +143,13 @@ def test_small_dims_ppt_is_conclusive_yes():
     assert v.certificate is None
 
 
-PAULIS = (
-    np.eye(2),
-    np.array([[0, 1], [1, 0]]),
-    np.array([[0, -1j], [1j, 0]]),
-    np.diag([1.0, -1.0]),
-)
-
-
 def test_ppt_failure_is_conclusive_no():
     # every EB map is PPT, so a failed PPT test overrides any ensemble: the
     # identity as Kraus, as Holevo terms (s/sqrt2, s/sqrt2) over the Paulis,
     # and carrying the depolarizing ensemble as its certificate
     for ch in (
         identity_channel(2),
-        holevo_channel([(s / np.sqrt(2), s / np.sqrt(2)) for s in PAULIS]),
+        pauli_identity_channel(),
         kraus_channel([np.eye(2)], certificate=depolarizing_channel(2).representation),
     ):
         v = eb_verdict(ch)
@@ -269,7 +263,6 @@ def _counted_ensembles():
 def test_rank_bounds_counts_the_rank_one_refinement():
     for ch in _counted_ensembles():
         n_ops = len(holevo_to_kraus(ch.representation).operators)
-        assert _rank_one_count(ch.representation, DEFAULT_TOL) == n_ops
         b = rank_bounds(ch)
         if not (b.choi_rank == ch.d2 and predicates(ch).is_unital):
             assert b.eb_rank_upper == max(n_ops, b.eb_rank_lower)
@@ -287,9 +280,9 @@ def test_rank_bounds_counts_the_rank_one_refinement():
     ],
 )
 def test_rank_bounds_raises_for_the_first_bad_member(bad, error):
-    # a PPT Kraus channel carrying a malformed certificate: the count must
-    # raise what building the refinement raises, for the first bad member in
-    # the order F_1, R_1, F_2, R_2
+    # a PPT Kraus channel carrying a malformed certificate: the count and the
+    # decomposition must raise what building the refinement raises, for the
+    # first bad member in the order F_1, R_1, F_2, R_2
     rng = SeededRng(9700)
     d = 2
     terms = [[rng.psd(d) / 4, rng.psd(d) / 4] for _ in range(2)]
@@ -307,7 +300,9 @@ def test_rank_bounds_raises_for_the_first_bad_member(bad, error):
         holevo_to_kraus(cert)
     with pytest.raises(error) as counted:
         rank_bounds(ch)
-    assert str(counted.value) == str(built.value)
+    with pytest.raises(error) as decomposed:
+        km_decompose(ch)
+    assert str(counted.value) == str(decomposed.value) == str(built.value)
     if error is NotPSD:
         assert str(counted.value) == "ensemble member has an eigenvalue below the psd floor"
     # the identity fails PPT, which the certificate cannot override

@@ -1,19 +1,25 @@
 """Channel file round trips and parse failure modes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebx import (
+    Channel,
+    ChoiMatrix,
     ParseError,
     SeededRng,
     channel_from_json,
     channel_to_json,
+    holevo_to_kraus,
     kraus_channel,
     load_channel,
     random_unital_eb,
     save_channel,
+    to_choi,
 )
 from ebx.gallery import (
     diagonal_pinching_channel,
@@ -139,3 +145,63 @@ def test_truncated_json_raises_parse_error(tmp_path):
     path.write_text('{"d1": 2, "d2"')
     with pytest.raises(ParseError):
         load_channel(path)
+
+
+def _fuzz_seeds() -> list[str]:
+    """Valid documents of each representation type at d1, d2 in {1, 2}, as
+    JSON text, so that each example mutates a fresh copy."""
+    docs = []
+    for d1 in (1, 2):
+        for d2 in (1, 2):
+            ch = random_unital_eb(SeededRng(42), d1, d2, 2)
+            h = ch.representation
+            for rep in (h, holevo_to_kraus(h), ChoiMatrix(d1, d2, to_choi(ch).matrix)):
+                docs.append(json.dumps(channel_to_json(Channel(d1, d2, rep, label="seed"))))
+    return docs
+
+
+_FUZZ_SEEDS = _fuzz_seeds()
+
+# wrong types, NaN and infinities, booleans, small and negative integers, and
+# representation tags that are unknown or belong to another representation
+_JUNK = st.one_of(
+    st.sampled_from([None, True, False, math.nan, math.inf, -math.inf]),
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from(["kraus", "choi", "holevo", "bloch", ""]),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(), st.booleans()), max_size=3),
+    st.dictionaries(st.sampled_from(["type", "F", "R", "matrix"]), st.integers(0, 2), max_size=2),
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, (*path, key))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_malformed_documents_raise_only_parse_error(data):
+    doc = json.loads(data.draw(st.sampled_from(_FUZZ_SEEDS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        action = data.draw(st.sampled_from(["replace", "delete", "append"]))
+        if not path:
+            doc = data.draw(_JUNK)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        if action == "delete":
+            del parent[path[-1]]  # a ragged row, a short matrix, a missing field
+        elif action == "append" and isinstance(node, list):
+            node.append(data.draw(_JUNK))
+        else:
+            parent[path[-1]] = data.draw(_JUNK)
+    try:
+        channel_from_json(doc)
+    except ParseError:
+        pass
