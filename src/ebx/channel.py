@@ -609,10 +609,14 @@ def _channel_range_basis(ch: Channel, tol: Tolerance) -> np.ndarray:
 
 
 def commutant_dimension(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CommutantReport:
-    """Dimension of the commutant of the channel's range.
+    """Dimension of the commutant of the channel's range: ``_commutant_report``
+    on one range basis per call (``_channel_range_basis``)."""
+    return _commutant_report(_channel_range_basis(ch, tol), tol)
 
-    The range has an orthonormal basis B_1..B_r (``_channel_range_basis``),
-    so the commutant is the kernel of the system A B_k = B_k A in vec(A): r
+
+def _commutant_report(basis: np.ndarray, tol: Tolerance) -> CommutantReport:
+    """The commutant of a range with orthonormal basis B_1..B_r, an (r, d2, d2)
+    stack: the kernel of the system A B_k = B_k A in vec(A): r
     blocks I (x) B_k^T - B_k (x) I instead of d1^2, filled in place into one
     preallocated array (``_commutator_system``) rather than built by a kron
     pair per block. Its dimension is d2^2 minus the system's numerical rank.
@@ -621,11 +625,10 @@ def commutant_dimension(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CommutantR
     unit-norm generators (each block has operator norm <= 2), so when the
     range is the scalars the system is rounding noise, has rank 0, and the
     dimension is d2^2. The range is irreducible exactly when only scalars
-    commute with it. ``is_cstar_extreme`` calls this only when canonical
-    extraction fails.
+    commute with it. ``is_cstar_extreme`` shares its range basis with the
+    extraction and calls this only when canonical extraction fails.
     """
-    d2 = ch.d2
-    basis = _channel_range_basis(ch, tol)
+    d2 = basis.shape[1]
     rank = 0
     if len(basis):
         s = np.linalg.svd(_commutator_system(basis), compute_uv=False)

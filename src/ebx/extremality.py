@@ -27,13 +27,14 @@ from .channel import (
     _apply_stack,
     _channel_range_basis,
     _choi_deviation,
+    _commutant_report,
     _is_unital,
     _kraus_ops,
     adjoint,
     apply,
     choi_channel,
-    commutant_dimension,
     hermitian_basis,
+    holevo_channel,
     predicates,
     to_choi,
 )
@@ -250,45 +251,57 @@ def extract_canonical(
 ) -> CanonicalEBForm:
     """Extract the block form (u_i, P_i) of a C*-extreme channel.
 
-    Steps: check the range is commutative on its orthonormal basis
-    (``_channel_range_basis``; a range commutes exactly when its basis
-    does), each basis element's commutators with the later ones taken in one
-    batched product (``_check_commutative``), so a C*-extreme channel
-    checks as many elements as it has blocks, at most d2, not d1^2 images;
+    Steps: check the preconditions once each (``eb_verdict`` raises NotCP,
+    then NotUnital, then NotEB for a verdict of "no"); check the range is
+    commutative on its orthonormal basis, one ``_channel_range_basis`` per
+    call (a range commutes exactly when its basis does), each element's
+    commutators with the later ones in one batched product
+    (``_check_commutative``), so a C*-extreme channel checks as many
+    elements as it has blocks, at most d2, not d1^2 images;
     form the d1^2 images of a hermitian basis with one ``_apply_stack`` and
     jointly diagonalize that stack, which fixes the form's bits; pull all
     joint eigenvectors v back through the adjoint at once, to the states
-    D = Phi^*(|v><v|), each of which must be a rank-one density matrix (one
-    batched SVD; rank, then trace, checked eigenvector by eigenvector); take
-    each state's top eigenvector from one batched ``eigh``; group
+    D = Phi^*(|v><v|), decomposed by one batched ``eigh``: each must be a
+    rank-one density matrix (rank, read off those eigenvalues, then trace,
+    checked eigenvector by eigenvector) and is its top eigenvector; group
     eigenvectors whose states coincide into blocks; verify the resulting
     form reproduces the channel.
 
     Raises NotExtreme at whichever step fails; for channels that are not
-    C*-extreme this is the expected outcome, not an error condition. The
-    preconditions come first, each checked once: ``eb_verdict`` raises
-    NotCP, then NotUnital, then NotEB for a verdict of "no".
+    C*-extreme this is the expected outcome, not an error condition.
     """
+    return _extract_canonical(ch, _checked_range_basis(ch, tol), tol, rng)
+
+
+def _checked_range_basis(ch: Channel, tol: Tolerance) -> np.ndarray:
+    """The range basis, after the extraction preconditions."""
     verdict = eb_verdict(ch, tol)
     if not _is_unital(ch, tol):
         raise NotUnital("canonical extraction needs a unital channel")
     if verdict.is_eb == "no":
         raise NotEB("channel is certified not entanglement breaking")
-    gen = (rng or SeededRng(_EXTRACTION_SEED)).generator
+    return _channel_range_basis(ch, tol)
 
-    _check_commutative(_channel_range_basis(ch, tol), tol)
+
+def _extract_canonical(
+    ch: Channel, basis: np.ndarray, tol: Tolerance, rng: SeededRng | None = None
+) -> CanonicalEBForm:
+    """``extract_canonical`` from the commutativity check on, on ``basis``."""
+    gen = (rng or SeededRng(_EXTRACTION_SEED)).generator
+    _check_commutative(basis, tol)
     images = _sym(_apply_stack(ch, np.array(hermitian_basis(ch.d1))))
     eigenspaces = _joint_eigenspaces(images, gen, tol)
     vs = np.concatenate(eigenspaces, axis=1).T  # joint eigenvectors as rows
     densities = _sym(_apply_stack(adjoint(ch), vs[:, :, None] * vs.conj()[:, None, :]))
-    ranks = _rank_count(np.linalg.svd(densities, compute_uv=False), tol)
+    vals, vecs = np.linalg.eigh(densities)
+    ranks = _rank_count(np.abs(vals[:, ::-1]), tol)
     for density, rank in zip(densities, ranks):
         if rank != 1:
             raise NotExtreme("an induced state is not pure (rank > 1)")
         if abs(np.trace(density) - 1.0) > tol.eq_abs:
             raise NotExtreme("an induced state is not normalized")
     # each state u is the top eigenvector, phase-fixed as herm_eig fixes it
-    states = _fix_phases(np.linalg.eigh(densities)[1][:, :, -1].T.copy()).T
+    states = _fix_phases(vecs[:, :, -1].T.copy()).T
 
     groups: list[tuple[np.ndarray, list[np.ndarray]]] = []
     for u, v in zip(states, vs):
@@ -303,17 +316,11 @@ def extract_canonical(
         for gu, members in groups
     )
     form = CanonicalEBForm(ch.d1, ch.d2, blocks)
-    _verify_canonical_against(form, ch, tol)
-    return form
-
-
-def _verify_canonical_against(
-    form: CanonicalEBForm, ch: Channel, tol: Tolerance
-) -> None:
     _check_form_invariants(form, tol, failure=NotExtreme)
     dev = _choi_deviation(ch, reconstruct(form))
     if dev > 10 * tol.eq_abs:
         raise NotExtreme(f"canonical form does not reproduce the channel (dev {dev:.3e})")
+    return form
 
 
 def _check_form_invariants(form: CanonicalEBForm, tol: Tolerance, failure=StructureViolation) -> None:
@@ -357,18 +364,20 @@ def is_cstar_extreme(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> ExtremalityRe
     The primary criterion is Choi rank equal to d2; canonical extraction is
     run as an independent cross-check and must agree (success exactly when
     the rank criterion holds), otherwise InternalInconsistency is raised.
-    The preconditions are checked once, by ``extract_canonical``, which runs
-    first: NotCP, NotUnital and NotEB come from there.
+    The preconditions come first, checked once as ``extract_canonical``
+    checks them: NotCP, NotUnital, NotEB.
 
-    Irreducibility is read off the extraction when it succeeds: the range
-    then lies in the span of the commuting projections P_i, so it is
-    commutative and its commutant holds both the range and the identity.
-    That commutant is the scalars exactly when d2 == 1. Only when extraction
-    fails is ``commutant_dimension`` computed.
+    One range basis per call serves the extraction's commutativity check
+    and, only when extraction fails, the commutant (``_commutant_report``).
+    Irreducibility is read off a successful extraction: the range then lies
+    in the span of the commuting projections P_i, so it is commutative and
+    its commutant holds both the range and the identity. That commutant is
+    the scalars exactly when d2 == 1.
     """
+    basis = _checked_range_basis(ch, tol)
     form: CanonicalEBForm | None
     try:
-        form = extract_canonical(ch, tol)
+        form = _extract_canonical(ch, basis, tol)
         extraction_note = None
     except NotExtreme as exc:
         form = None
@@ -385,7 +394,7 @@ def is_cstar_extreme(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> ExtremalityRe
         irreducible = ch.d2 == 1
     else:
         cq_flag = None
-        irreducible = commutant_dimension(ch, tol).is_irreducible
+        irreducible = _commutant_report(basis, tol).is_irreducible
     return ExtremalityReport(
         choi_rank=choi_rank,
         is_cstar_extreme=rank_extreme,
@@ -398,19 +407,18 @@ def is_cstar_extreme(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> ExtremalityRe
 def cq_remark_flags(form: CanonicalEBForm, tol: Tolerance = DEFAULT_TOL) -> CqFlags:
     """Overlap test on the rank-one refinement of a canonical form.
 
-    Refining each block projection into rank-one pieces (duplicating the
-    block state per piece) gives the channel as sum_j <u_j, X u_j> |v_j><v_j|
-    over an orthonormal basis {v_j}. The channel is additionally an extreme
-    point of the unital CP maps in the linear sense exactly when every
-    pairwise overlap <u_j, u_k> is nonzero.
+    Refining each block projection into rank-one pieces gives the channel as
+    sum_j <u_j, X u_j> |v_j><v_j| over an orthonormal basis {v_j}. The
+    channel is additionally an extreme point of the unital CP maps in the
+    linear sense exactly when every pairwise overlap <u_j, u_k> is nonzero.
+    Pieces of one block share its state (overlap 1), so the minimum runs
+    over pairs of block states, and is 1.0 for a single block.
     """
-    refined: list[np.ndarray] = []
-    for (u, p), r in zip(form.blocks, form.block_ranks()):
-        refined.extend([u] * r)
-    min_overlap = 1.0
-    for i in range(len(refined)):
-        for j in range(i + 1, len(refined)):
-            min_overlap = min(min_overlap, abs(np.vdot(refined[i], refined[j])))
+    states = form.states
+    min_overlap = min(
+        (abs(np.vdot(u, v)) for i, u in enumerate(states) for v in states[i + 1:]),
+        default=1.0,
+    )
     return CqFlags(
         all_overlaps_nonzero=bool(min_overlap > tol.eq_abs),
         min_overlap=float(min_overlap),
@@ -535,47 +543,23 @@ def locate_dominated_rank_one(
     When E(X) = <x, X x>|y><y| is dominated by the canonical channel, x must
     be parallel to one block state u_j and y must lie in the range of that
     block's projection; the piece it contributes is R_j = <x, x> |y><y|.
+    Only the vectors are checked here (dimensions, then nonzero): the form,
+    the domination (raised as NotDominated), the block support and the
+    factorization are ``rn_derivative``'s checks on E; j is its nonzero piece.
     """
-    _check_form_invariants(canonical, tol)
     xv = np.asarray(x, dtype=complex).reshape(-1)
     yv = np.asarray(y, dtype=complex).reshape(-1)
     if xv.shape != (canonical.d1,) or yv.shape != (canonical.d2,):
         raise DimensionMismatch("vector dimensions do not match the canonical form")
     if np.linalg.norm(xv) < tol.eq_abs or np.linalg.norm(yv) < tol.eq_abs:
         raise ValueError("x and y must be nonzero")
-    rank_one = Channel(
-        canonical.d1,
-        canonical.d2,
-        HolevoEnsemble(
-            canonical.d1,
-            canonical.d2,
-            ((np.outer(xv, xv.conj()), np.outer(yv, yv.conj())),),
-        ),
-    )
-    phi = reconstruct(canonical)
-    if not dominates_cp(phi, rank_one, tol):
-        raise NotDominated("the rank-one map is not dominated by the canonical channel")
-    x_hat = xv / np.linalg.norm(xv)
-    y_norm = float(np.linalg.norm(yv))
-    matches = [
-        j
-        for j, (u, p) in enumerate(canonical.blocks)
-        if _same_state(x_hat, u)
-        and float(np.linalg.norm(yv - p @ yv)) <= 100 * tol.eq_abs * y_norm
-    ]
-    if len(matches) != 1:
-        raise StructureViolation(
-            f"domination holds but {len(matches)} blocks match (expected exactly 1); "
-            "tolerances may be miscalibrated"
-        )
-    j = matches[0]
-    piece = float(np.vdot(xv, xv).real) * np.outer(yv, yv.conj())
-    scale = max(1.0, max_abs(piece))
-    for k, p in enumerate(canonical.projections):
-        expected = piece if k == j else np.zeros_like(piece)
-        if max_abs(p @ piece - expected) > 100 * tol.eq_abs * scale:
-            raise StructureViolation("located piece is not supported in its block")
-    return LocatedPiece(block_index=j, R=piece)
+    rank_one = holevo_channel([(np.outer(xv, xv.conj()), np.outer(yv, yv.conj()))])
+    try:
+        deriv = rn_derivative(canonical, rank_one, tol)
+    except PreconditionDomination as exc:
+        raise NotDominated("the rank-one map is not dominated by the canonical channel") from exc
+    j = int(np.argmax([max_abs(piece) for piece in deriv.per_block]))
+    return LocatedPiece(block_index=j, R=deriv.R)
 
 
 def arveson_derivative(

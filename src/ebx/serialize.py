@@ -23,6 +23,7 @@ from .channel import (
     choi_channel,
     holevo_channel,
     kraus_channel,
+    to_choi,
 )
 from .errors import ParseError
 
@@ -89,7 +90,8 @@ def channel_to_json(ch: Channel) -> dict:
 
 
 def channel_from_json(doc: Any) -> Channel:
-    """Parse a plain dict (already json.load-ed) into a channel."""
+    """Parse a plain dict (already json.load-ed) into a channel; ParseError
+    when it is malformed or its Choi matrix overflows."""
     if not isinstance(doc, dict):
         raise ParseError("channel file must be a JSON object")
     for field in ("d1", "d2", "representation"):
@@ -114,14 +116,14 @@ def channel_from_json(doc: Any) -> Channel:
                 _decode_matrix(op, d1, d2, f"operators[{k}]")
                 for k, op in enumerate(ops)
             )
-            return kraus_channel(mats, label=label)
-        if kind == "choi":
+            ch = kraus_channel(mats, label=label)
+        elif kind == "choi":
             if "matrix" not in rep:
                 raise ParseError("choi representation needs a 'matrix' field")
             n = d1 * d2
             m = _decode_matrix(rep["matrix"], n, n, "matrix")
-            return choi_channel(m, d1, d2, label=label)
-        if kind == "holevo":
+            ch = choi_channel(m, d1, d2, label=label)
+        elif kind == "holevo":
             terms = rep.get("terms")
             if not isinstance(terms, list) or not terms:
                 raise ParseError("holevo representation needs a nonempty 'terms' list")
@@ -132,12 +134,17 @@ def channel_from_json(doc: Any) -> Channel:
                 f = _decode_matrix(term["F"], d1, d1, f"terms[{k}].F")
                 r = _decode_matrix(term["R"], d2, d2, f"terms[{k}].R")
                 pairs.append((f, r))
-            return holevo_channel(tuple(pairs), label=label)
+            ch = holevo_channel(tuple(pairs), label=label)
+        else:
+            raise ParseError(f"unknown representation type {kind!r}")
     except ParseError:
         raise
     except Exception as exc:
         raise ParseError(f"invalid channel data: {exc}") from exc
-    raise ParseError(f"unknown representation type {kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(to_choi(ch).matrix).all():
+            raise ParseError("the channel's Choi matrix overflows: entries too large")
+    return ch
 
 
 def save_channel(ch: Channel, path) -> None:

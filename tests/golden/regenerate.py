@@ -1,7 +1,7 @@
 """Regenerate the golden CLI fixtures under tests/golden/.
 
 Writes the input channel files (``ebx gallery --all --emit``, seeded
-``ebx random`` draws, and three channels that are not EB or whose EB verdict
+``ebx random`` draws, and four channels that are not EB or whose EB verdict
 is open) to ``inputs/`` and, for each one, the stdout, stderr
 and exit code of ``ebx analyze --json`` and ``ebx km --json`` to
 ``outputs/<input stem>.json``. The records of ``rn``, ``arveson``, ``equiv``
@@ -31,6 +31,7 @@ from ebx import (
     channel_from_map,
     choi_channel,
     identity_channel,
+    random_cstar_extreme,
     random_unital_eb,
     save_channel,
     to_choi,
@@ -49,12 +50,15 @@ RANDOM_SEED = 1
 
 def _non_eb_inputs() -> dict:
     """Inputs that reach the analyze notes the gallery never writes: a map
-    that is not CP, one that fails PPT, and one whose PPT test cannot decide."""
+    that is not CP, one that fails PPT, one whose PPT test cannot decide, and
+    a C*-extreme one whose PPT test cannot decide."""
     eb = random_unital_eb(SeededRng(1), 3, 3, n_terms=3)
+    extreme = random_cstar_extreme(SeededRng(1), 3, 3)
     return {
         "transpose.m2.json": channel_from_map(lambda x: x.T, 2, 2, label="transpose-m2"),
         "identity.m2.json": identity_channel(2),
         "bare_choi.unital-eb.3x3.seed1.json": choi_channel(to_choi(eb).matrix, 3, 3),
+        "bare_choi.cstar-extreme.3x3.seed1.json": choi_channel(to_choi(extreme).matrix, 3, 3),
     }
 
 

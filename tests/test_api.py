@@ -1,5 +1,6 @@
 """The public API: ``ebx.__all__`` is the union of the modules' ``__all__``."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -64,3 +65,31 @@ def test_star_import_is_warning_free():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by a module-level import that never appear as a name."""
+    tree = ast.parse(source)
+    bound = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_every_module_level_import_is_used():
+    src = Path(ebx.__file__).resolve().parent
+    unused = {
+        path.name: names
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+    assert _unused_imports("from .channel import commutant_dimension, to_choi\nto_choi()\n") == [
+        "commutant_dimension"
+    ]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -179,9 +180,23 @@ def test_empty_file_is_exit_1(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
 
 
+# finite entries whose Choi matrix overflows, once through the Kraus gram
+# product and once through the Holevo einsum
+OVERFLOW_FILES = {
+    "kraus_overflow.json": (
+        b'{"d1": 2, "d2": 2, "representation": {"type": "kraus", '
+        b'"operators": [[[1e200, 0], [0, 1e200]]]}}'
+    ),
+    "holevo_overflow.json": (
+        b'{"d1": 2, "d2": 2, "representation": {"type": "holevo", '
+        b'"terms": [{"F": [[1e200, 0], [0, 0]], "R": [[1e200, 0], [0, 0]]}]}}'
+    ),
+}
+
 MALFORMED_FILES = {
     "deep.json": ("[" * 100_000 + "]" * 100_000).encode(),
     "not_utf8.json": b"\xff\xfe",
+    **OVERFLOW_FILES,
 }
 
 
@@ -204,6 +219,18 @@ def test_non_utf8_file_is_exit_1(tmp_path, capsys):
     assert "can't decode byte 0xff in position 0" in captured.err
 
 
+@pytest.mark.parametrize("name", sorted(OVERFLOW_FILES))
+@pytest.mark.parametrize("command", ["analyze", "km"])
+def test_overflowing_choi_matrix_is_exit_1(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_bytes(OVERFLOW_FILES[name])
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ebx: error: the channel's Choi matrix overflows: entries too large\n"
+
+
+# under -W error a stray numpy warning would end in a traceback
 @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
 def test_malformed_file_is_exit_1_in_a_subprocess(tmp_path, name):
     path = tmp_path / name
@@ -211,7 +238,7 @@ def test_malformed_file_is_exit_1_in_a_subprocess(tmp_path, name):
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run(
-        [sys.executable, "-m", "ebx.cli", "analyze", str(path)],
+        [sys.executable, "-W", "error", "-m", "ebx.cli", "analyze", str(path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 1
@@ -345,6 +372,90 @@ def test_equiv_needs_extreme_inputs(tmp_path, capsys):
     c = write_channel(tmp_path, depolarizing_channel(2), "c.json")
     assert main(["equiv", a, c]) == 2
     assert "C*-extreme" in capsys.readouterr().err
+
+
+# --- text output of km, rn, arveson and equiv ---
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _numbers(lines) -> list[float]:
+    return [float(x) for line in lines for x in _NUMBER.findall(line)]
+
+
+def _entries(rows) -> list[float]:
+    """A JSON matrix as it prints: real and imaginary part of each entry."""
+    return [x for z in decode(rows).ravel() for x in (z.real, z.imag)]
+
+
+def assert_close(got, want):
+    assert len(got) == len(want)
+    assert max((abs(g - w) for g, w in zip(got, want)), default=0.0) <= 1e-6
+
+
+def text_and_json(capsys, *argv):
+    """The text output lines of ``ebx argv`` on golden inputs and its --json document."""
+    argv = [str(GOLDEN_INPUTS / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert main([*argv, "--json"]) == 0
+    return text, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "psi, phi",
+    [
+        ("two_block_pinching.psi.json", "two_block_pinching.phi.json"),
+        ("random.cstar-extreme.3x3.seed1.json", "random.cstar-extreme.3x3.seed1.json"),
+    ],
+)
+def test_rn_text_output(capsys, psi, phi):
+    text, doc = text_and_json(capsys, "rn", psi, "--dominating", phi)
+    assert text[0] == "commuting derivative R with Psi = Phi(.) R:"
+    assert_close(_numbers(text[1:-1]), _entries(doc["R"]))
+    assert text[-1].startswith("  blocks: ")
+    assert_close(_numbers(text[-1:]), [len(doc["per_block"]), doc["residual"]])
+
+
+def test_arveson_text_output(capsys):
+    text, doc = text_and_json(
+        capsys, "arveson", "averaged_state_domination.psi.json",
+        "--dominating", "impure_inflation.mixed.json",
+    )
+    assert text[0] == "coefficient matrix T in the dominating Kraus frame:"
+    assert text[-2].startswith("  eigenvalues: [") and text[-1].startswith("  residual: ")
+    assert_close(_numbers(text[1:-2]), _entries(doc["T"]))
+    assert_close(_numbers(text[-2:]), [*doc["eigenvalues"], doc["residual"]])
+
+
+def test_equiv_text_output(capsys):
+    text, doc = text_and_json(
+        capsys, "equiv", "diagonal_pinching.phi.json", "diagonal_pinching.midpoint.json"
+    )
+    assert text[:2] == ["unitarily equivalent: yes", "witness U (second = Ad_U first):"]
+    assert_close(_numbers(text[2:]), _entries(doc["witness_unitary"]))
+    text, doc = text_and_json(
+        capsys, "equiv", "diagonal_pinching.phi.json", "random.cstar-extreme.2x2.seed1.json"
+    )
+    assert (text, doc) == (["unitarily equivalent: no"], {"equivalent": False})
+
+
+def test_km_text_output_and_emit(tmp_path, capsys):
+    text, doc = text_and_json(capsys, "km", "random.povm-ensemble.2x2.seed1.json")
+    assert text[0] == f"decomposed into {doc['n_terms']} C*-extreme term(s)"
+    assert text[1].startswith("  reconstruction error: ")
+    assert_close(_numbers(text[1:2]), [doc["reconstruction_error"]])
+    assert text[2:] == ["  all factors extreme: yes", "  proper combination: no"]
+    assert (doc["all_factors_extreme"], doc["proper"], doc["factor_diagnostics"]) == (True, False, [])
+
+    source = str(GOLDEN_INPUTS / "random.povm-ensemble.2x2.seed1.json")
+    emit_text, emit_json = tmp_path / "text.json", tmp_path / "json.json"
+    assert main(["km", source, "--emit", str(emit_text)]) == 0
+    assert capsys.readouterr().out.splitlines() == [*text, f"  wrote terms to {emit_text}"]
+    assert main(["km", source, "--json", "--emit", str(emit_json)]) == 0
+    assert json.loads(capsys.readouterr().out) == dict(doc, emitted=str(emit_json))
+    assert emit_text.read_bytes() == emit_json.read_bytes()
 
 
 # --- random ---

@@ -8,6 +8,7 @@ from ebx import (
     CStarCombination,
     DimensionMismatch,
     DEFAULT_TOL,
+    HolevoEnsemble,
     NoCertificate,
     NotCP,
     NotHermitian,
@@ -207,6 +208,32 @@ def test_km_preconditions():
         km_decompose(partial_averaging_channel())
     with pytest.raises(NoCertificate):
         km_decompose(diagonal_pinching_channel())  # Kraus built, no ensemble
+
+
+def test_km_refuses_an_ensemble_with_no_usable_weight():
+    # the identity is CP and unital, but the attached ensemble is zero; the
+    # message is not pinned
+    zero = HolevoEnsemble(2, 2, ((np.zeros((2, 2)), np.zeros((2, 2))),))
+    with pytest.raises(NoCertificate):
+        km_decompose(kraus_channel([E2], certificate=zero))
+
+
+def test_km_folds_the_defect_the_dropped_eigenvalues_leave():
+    # R_t = c (P_t + eps (I - P_t)): each eps*c eigenvalue falls under rank_rel
+    # and is dropped, which leaves sum T^*T = I / (1 + 2 eps), a defect of
+    # 1.8e-9 above eq_abs; the fold absorbs it into one coefficient
+    eps = 9e-10
+    c = 1.0 / (2.0 * (1.0 + 2.0 * eps))
+    projections = [np.diag(row).astype(complex) for row in np.eye(3)]
+    ch = holevo_channel([(E2, c * (p + eps * (np.eye(3) - p))) for p in projections])
+    assert predicates(ch).is_unital
+    comb = km_decompose(ch)
+    assert comb.n_terms == 6
+    gram = sum(t.conj().T @ t for t, _ in comb.terms)
+    assert max_abs(gram - np.eye(3)) <= 1e-15
+    check = verify_decomposition(comb, ch)
+    assert 8e-10 <= check.reconstruction_error <= 1e-9
+    assert check.all_factors_extreme
 
 
 @pytest.mark.parametrize("build", [negated_term_channel, pauli_identity_channel])

@@ -216,21 +216,28 @@ def test_extraction_decides_commutativity_as_the_pairwise_image_loop():
 
 
 def test_irreducibility_is_read_off_a_successful_extraction(monkeypatch):
-    calls = []
-    counted = extremality.commutant_dimension
+    # one range basis per decision: the extraction's commutativity check and,
+    # only when extraction fails, the commutant both use it
+    calls, bases = [], []
+    counted, built = extremality._commutant_report, extremality._channel_range_basis
     monkeypatch.setattr(
-        extremality, "commutant_dimension", lambda ch, tol: calls.append(ch) or counted(ch, tol)
+        extremality, "_commutant_report", lambda b, tol: calls.append(b) or counted(b, tol)
     )
+    for module in (channel, extremality):
+        monkeypatch.setattr(
+            module, "_channel_range_basis", lambda ch, tol: bases.append(ch) or built(ch, tol)
+        )
     one_dimensional = [
         (random_cstar_extreme(SeededRng(8800), 3, 1), True),
         (random_unital_eb(SeededRng(8801), 3, 1, n_terms=3), False),
     ]
     for ch, extreme in [*_extreme_and_generic_draws(), *one_dimensional]:
         calls.clear()
+        bases.clear()
         report = is_cstar_extreme(ch)
+        assert (len(bases), len(calls)) == (1, 0 if extreme else 1)
         assert report.is_cstar_extreme == extreme
         assert report.is_irreducible == (commutant_dimension(ch).dim == 1)
-        assert len(calls) == (0 if extreme else 1)
     assert is_cstar_extreme(one_dimensional[0][0]).is_irreducible
 
 
@@ -415,8 +422,10 @@ def test_cq_flags():
     assert flags.all_overlaps_nonzero
     assert abs(flags.min_overlap - 1 / np.sqrt(2)) <= 1e-12
 
-    # a rank-2 block duplicates its state in the refinement: overlap 1
-    single = CanonicalEBForm(2, 2, ((E2[:, 0], np.eye(2, dtype=complex)),))
+    # one block has no pair of distinct states: overlap exactly 1, although
+    # this state's overlap with itself rounds to 1 - 2.2e-16
+    tilted_state = (E2[:, 0] + E2[:, 1]) / np.sqrt(2)
+    single = CanonicalEBForm(2, 2, ((tilted_state, np.eye(2, dtype=complex)),))
     flags = cq_remark_flags(single)
     assert flags.all_overlaps_nonzero
     assert flags.min_overlap == 1.0
@@ -664,6 +673,23 @@ def test_locate_rejects_zero_vectors():
         locate_dominated_rank_one(form, np.zeros(3), E3[:, 0])
     with pytest.raises(ValueError):
         locate_dominated_rank_one(form, E3[:, 0], np.zeros(3))
+
+
+def test_locate_is_read_off_rn_derivative():
+    form = two_block_form()
+    x, y = 2.0 * E3[:, 0], 0.5 * E3[:, 1]
+    piece = locate_dominated_rank_one(form, x, y)
+    rank_one = holevo_channel([(np.outer(x, x.conj()), np.outer(y, y.conj()))])
+    assert np.array_equal(piece.R, rn_derivative(form, rank_one).R)
+    with pytest.raises(NotDominated) as refused:
+        locate_dominated_rank_one(form, E3[:, 0], E3[:, 2])
+    assert isinstance(refused.value.__cause__, PreconditionDomination)
+    # the vectors are checked before the form
+    broken = CanonicalEBForm(3, 3, ((E3[:, 0], unit(3, 0, 0)),))
+    with pytest.raises(DimensionMismatch):
+        locate_dominated_rank_one(broken, E2[:, 0], E3[:, 0])
+    with pytest.raises(StructureViolation):
+        locate_dominated_rank_one(broken, E3[:, 0], E3[:, 0])
 
 
 # --- coefficient matrices in a Kraus frame ---
