@@ -411,8 +411,7 @@ def cq_remark_flags(form: CanonicalEBForm, tol: Tolerance = DEFAULT_TOL) -> CqFl
     sum_j <u_j, X u_j> |v_j><v_j| over an orthonormal basis {v_j}. The
     channel is additionally an extreme point of the unital CP maps in the
     linear sense exactly when every pairwise overlap <u_j, u_k> is nonzero.
-    Pieces of one block share its state (overlap 1), so the minimum runs
-    over pairs of block states, and is 1.0 for a single block.
+    The minimum runs over pairs of block states (a block's pieces overlap 1).
     """
     states = form.states
     min_overlap = min(
@@ -543,23 +542,28 @@ def locate_dominated_rank_one(
     When E(X) = <x, X x>|y><y| is dominated by the canonical channel, x must
     be parallel to one block state u_j and y must lie in the range of that
     block's projection; the piece it contributes is R_j = <x, x> |y><y|.
-    Only the vectors are checked here (dimensions, then nonzero): the form,
-    the domination (raised as NotDominated), the block support and the
-    factorization are ``rn_derivative``'s checks on E; j is its nonzero piece.
+    Checked here: the vectors, and that R = <x, x><y, y> R_unit is a
+    contraction. ``rn_derivative`` on the map of the unit vectors checks the
+    rest, with tolerances relative to |x| and |y|; j is its nonzero piece.
     """
     xv = np.asarray(x, dtype=complex).reshape(-1)
     yv = np.asarray(y, dtype=complex).reshape(-1)
     if xv.shape != (canonical.d1,) or yv.shape != (canonical.d2,):
         raise DimensionMismatch("vector dimensions do not match the canonical form")
-    if np.linalg.norm(xv) < tol.eq_abs or np.linalg.norm(yv) < tol.eq_abs:
+    x_norm, y_norm = np.linalg.norm(xv), np.linalg.norm(yv)
+    if x_norm < tol.eq_abs or y_norm < tol.eq_abs:
         raise ValueError("x and y must be nonzero")
-    rank_one = holevo_channel([(np.outer(xv, xv.conj()), np.outer(yv, yv.conj()))])
+    xv, yv, scale = xv / x_norm, yv / y_norm, float(x_norm * y_norm) ** 2
+    refused = "the rank-one map is not dominated by the canonical channel"
+    if scale > 1.0 + tol.psd_floor * scale:  # R_unit has norm 1
+        raise NotDominated(refused)
+    unit_map = holevo_channel([(np.outer(xv, xv.conj()), np.outer(yv, yv.conj()))])
     try:
-        deriv = rn_derivative(canonical, rank_one, tol)
+        deriv = rn_derivative(canonical, unit_map, tol)
     except PreconditionDomination as exc:
-        raise NotDominated("the rank-one map is not dominated by the canonical channel") from exc
+        raise NotDominated(refused) from exc
     j = int(np.argmax([max_abs(piece) for piece in deriv.per_block]))
-    return LocatedPiece(block_index=j, R=deriv.R)
+    return LocatedPiece(block_index=j, R=scale * deriv.R)
 
 
 def arveson_derivative(

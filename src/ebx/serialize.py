@@ -141,8 +141,9 @@ def channel_from_json(doc: Any) -> Channel:
         raise
     except Exception as exc:
         raise ParseError(f"invalid channel data: {exc}") from exc
+    # headroom for sums of d1*d2 products of two Choi entries; refuses inf and nan
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(to_choi(ch).matrix).all():
+        if not np.abs(to_choi(ch).matrix).max() <= np.sqrt(np.finfo(float).max) / ch.d1 / ch.d2:
             raise ParseError("the channel's Choi matrix overflows: entries too large")
     return ch
 

@@ -181,7 +181,8 @@ def test_empty_file_is_exit_1(tmp_path, capsys):
 
 
 # finite entries whose Choi matrix overflows, once through the Kraus gram
-# product and once through the Holevo einsum
+# product and once through the Holevo einsum, and a finite Choi matrix whose
+# entries (1e308) would overflow in the first sum of two of them
 OVERFLOW_FILES = {
     "kraus_overflow.json": (
         b'{"d1": 2, "d2": 2, "representation": {"type": "kraus", '
@@ -190,6 +191,10 @@ OVERFLOW_FILES = {
     "holevo_overflow.json": (
         b'{"d1": 2, "d2": 2, "representation": {"type": "holevo", '
         b'"terms": [{"F": [[1e200, 0], [0, 0]], "R": [[1e200, 0], [0, 0]]}]}}'
+    ),
+    "holevo_near_limit.json": (
+        b'{"d1": 2, "d2": 2, "representation": {"type": "holevo", '
+        b'"terms": [{"F": [[1e154, 0], [0, 1e154]], "R": [[1e154, 0], [0, 1e154]]}]}}'
     ),
 }
 

@@ -651,6 +651,9 @@ def test_locate_scales_with_the_vectors():
     form = two_block_form()
     piece = locate_dominated_rank_one(form, 2.0 * E3[:, 0], 0.5 * E3[:, 1])
     assert max_abs(piece.R - unit(3, 1, 1)) <= 1e-12
+    # the same directions with <x, x><y, y> = 4: R is not a contraction
+    with pytest.raises(NotDominated):
+        locate_dominated_rank_one(form, 2.0 * E3[:, 0], E3[:, 1])
 
 
 def test_locate_refuses_superposed_state():
@@ -658,6 +661,10 @@ def test_locate_refuses_superposed_state():
     x = (E3[:, 0] + E3[:, 2]) / np.sqrt(2)
     with pytest.raises(NotDominated):
         locate_dominated_rank_one(form, x, E3[:, 0])
+    # at this scale Phi - E fails psd by only about 5e-13 and the residual of
+    # Phi(.) R is about 1e-12: the directions must be judged at unit scale
+    with pytest.raises(NotDominated):
+        locate_dominated_rank_one(form, 1e-3 * x, 1e-3 * E3[:, 0])
 
 
 def test_locate_refuses_cross_block_target():
@@ -677,10 +684,13 @@ def test_locate_rejects_zero_vectors():
 
 def test_locate_is_read_off_rn_derivative():
     form = two_block_form()
-    x, y = 2.0 * E3[:, 0], 0.5 * E3[:, 1]
+    x, y = 0.9 * E3[:, 0], 0.7 * (E3[:, 0] - 1j * E3[:, 1]) / np.sqrt(2)
     piece = locate_dominated_rank_one(form, x, y)
-    rank_one = holevo_channel([(np.outer(x, x.conj()), np.outer(y, y.conj()))])
-    assert np.array_equal(piece.R, rn_derivative(form, rank_one).R)
+    xn, yn = np.linalg.norm(x), np.linalg.norm(y)
+    xu, yu = x / xn, y / yn
+    unit_map = holevo_channel([(np.outer(xu, xu.conj()), np.outer(yu, yu.conj()))])
+    assert np.array_equal(piece.R, (xn * yn) ** 2 * rn_derivative(form, unit_map).R)
+    assert max_abs(piece.R - np.outer(y, y.conj()) * 0.81) <= 1e-15
     with pytest.raises(NotDominated) as refused:
         locate_dominated_rank_one(form, E3[:, 0], E3[:, 2])
     assert isinstance(refused.value.__cause__, PreconditionDomination)
