@@ -297,16 +297,11 @@ def channel_from_map(
     n = d1 * d2
     choi = np.zeros((n, n), dtype=complex)
     blocks = choi.reshape(d1, d2, d1, d2)
-    for i in range(d1):
-        for j in range(d1):
-            e = np.zeros((d1, d1), dtype=complex)
-            e[i, j] = 1.0
-            image = as_matrix(fn(e))
-            if image.shape != (d2, d2):
-                raise DimensionMismatch(
-                    f"map produced shape {image.shape}, expected {(d2, d2)}"
-                )
-            blocks[i, :, j, :] = image
+    for k, e in enumerate(matrix_units(d1)):
+        image = as_matrix(fn(e))
+        if image.shape != (d2, d2):
+            raise DimensionMismatch(f"map produced shape {image.shape}, expected {(d2, d2)}")
+        blocks[k // d1, :, k % d1, :] = image
     return Channel(d1, d2, ChoiMatrix(d1, d2, choi), label=label)
 
 

@@ -40,6 +40,7 @@ from .gallery import CASE_NAMES, run_all, run_case
 from .linalg import DEFAULT_TOL, Tolerance, herm_eig, svd_rank
 from .rng import SeededRng
 from .separability import (
+    PPT_CONCLUSIVE_LIMIT,
     eb_verdict,
     random_cstar_extreme,
     random_unital_eb,
@@ -76,8 +77,8 @@ def _fmt_matrix(m: np.ndarray) -> str:
         return str(np.asarray(m))
 
 
-def _indent(text: str, pad: str = "  ") -> str:
-    return "\n".join(pad + line for line in text.splitlines())
+def _indent(text: str) -> str:
+    return "\n".join("  " + line for line in text.splitlines())
 
 
 def _canonical_to_json(form: CanonicalEBForm) -> dict:
@@ -134,10 +135,12 @@ def _build_report(ch: Channel, tol: Tolerance) -> dict:
         "ppt": verdict.ppt,
         "has_certificate": verdict.certificate is not None,
     }
-    if verdict.certificate is not None and verdict.is_eb == "yes":
+    if ch.holevo_certificate is not None and verdict.certificate is not None:
         report["notes"].append("EB certified by an attached measure-and-prepare ensemble")
+    elif verdict.certificate is not None:
+        report["notes"].append("the zero map is EB: it prepares nothing")
     elif verdict.is_eb == "yes":
-        report["notes"].append(f"PPT conclusive: d1*d2 = {ch.d1 * ch.d2} <= 6")
+        report["notes"].append(f"PPT conclusive: d1*d2 = {ch.d1 * ch.d2} <= {PPT_CONCLUSIVE_LIMIT}")
     elif verdict.is_eb == "no":
         report["notes"].append("fails PPT, which every EB channel must satisfy")
     if verdict.is_eb == "unknown":
@@ -210,9 +213,7 @@ def _print_report(report: dict) -> None:
         print(f"  note: {note}")
 
 
-def _yn(v) -> str:
-    if v is None:
-        return "unknown"
+def _yn(v: bool) -> str:
     return "yes" if v else "no"
 
 

@@ -92,8 +92,8 @@ __all__ = [
 # states u, u' are considered the same block when |<u, u'>| >= 1 - this
 _STATE_MATCH = 1e-9
 
-# fixed seed for the generic separating combination in extract_canonical,
-# so extraction is deterministic unless the caller supplies a stream
+# seed of the generic separating combinations in extract_canonical, so the
+# form depends only on the channel and the tolerance
 _EXTRACTION_SEED = 1729
 
 
@@ -246,9 +246,7 @@ def _check_commutative(images: np.ndarray, tol: Tolerance) -> None:
             )
 
 
-def extract_canonical(
-    ch: Channel, tol: Tolerance = DEFAULT_TOL, rng: SeededRng | None = None
-) -> CanonicalEBForm:
+def extract_canonical(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CanonicalEBForm:
     """Extract the block form (u_i, P_i) of a C*-extreme channel.
 
     Steps: check the preconditions once each (``eb_verdict`` raises NotCP,
@@ -265,12 +263,14 @@ def extract_canonical(
     rank-one density matrix (rank, read off those eigenvalues, then trace,
     checked eigenvector by eigenvector) and is its top eigenvector; group
     eigenvectors whose states coincide into blocks; verify the resulting
-    form reproduces the channel.
+    form reproduces the channel. The joint diagonalization draws its
+    combinations from a fixed seed, so the form depends only on ``ch`` and
+    ``tol``.
 
     Raises NotExtreme at whichever step fails; for channels that are not
     C*-extreme this is the expected outcome, not an error condition.
     """
-    return _extract_canonical(ch, _checked_range_basis(ch, tol), tol, rng)
+    return _extract_canonical(ch, _checked_range_basis(ch, tol), tol)
 
 
 def _checked_range_basis(ch: Channel, tol: Tolerance) -> np.ndarray:
@@ -283,14 +283,11 @@ def _checked_range_basis(ch: Channel, tol: Tolerance) -> np.ndarray:
     return _channel_range_basis(ch, tol)
 
 
-def _extract_canonical(
-    ch: Channel, basis: np.ndarray, tol: Tolerance, rng: SeededRng | None = None
-) -> CanonicalEBForm:
+def _extract_canonical(ch: Channel, basis: np.ndarray, tol: Tolerance) -> CanonicalEBForm:
     """``extract_canonical`` from the commutativity check on, on ``basis``."""
-    gen = (rng or SeededRng(_EXTRACTION_SEED)).generator
     _check_commutative(basis, tol)
     images = _sym(_apply_stack(ch, np.array(hermitian_basis(ch.d1))))
-    eigenspaces = _joint_eigenspaces(images, gen, tol)
+    eigenspaces = _joint_eigenspaces(images, SeededRng(_EXTRACTION_SEED).generator, tol)
     vs = np.concatenate(eigenspaces, axis=1).T  # joint eigenvectors as rows
     densities = _sym(_apply_stack(adjoint(ch), vs[:, :, None] * vs.conj()[:, None, :]))
     vals, vecs = np.linalg.eigh(densities)
@@ -629,11 +626,6 @@ def extremality_witness(
 # ---------------------------------------------------------------------------
 
 
-def _range_basis(p: np.ndarray, rank: int, tol: Tolerance) -> np.ndarray:
-    _, vecs = herm_eig(p, tol)
-    return vecs[:, :rank]
-
-
 def unitary_equivalent(
     a: CanonicalEBForm, b: CanonicalEBForm, tol: Tolerance = DEFAULT_TOL
 ) -> EquivalenceCheck:
@@ -667,8 +659,9 @@ def unitary_equivalent(
         matched.append((i, found))
     u = np.zeros((a.d2, a.d2), dtype=complex)
     for i, j in matched:
-        qa = _range_basis(a.projections[i], ranks_a[i], tol)
-        qb = _range_basis(b.projections[j], ranks_b[j], tol)
+        # the leading eigenvectors of a projection span its range
+        qa = herm_eig(a.projections[i], tol)[1][:, :ranks_a[i]]
+        qb = herm_eig(b.projections[j], tol)[1][:, :ranks_b[j]]
         u += qa @ qb.conj().T
     dev = _choi_deviation(reconstruct(b), reconstruct(a), u.conj().T, u)
     if dev > 100 * tol.eq_abs:

@@ -417,8 +417,8 @@ def _case_km_reconstruction(tol: Tolerance) -> GalleryOutcome:
         "; ".join(check_result.factor_diagnostics),
     )
     _check(checks, "rank-one coefficients, so not proper", not check_result.proper)
-    forms = [extract_canonical(factor, tol) for _, factor in comb.terms[:2]]
-    eq = unitary_equivalent(forms[0], forms[0], tol)
+    form = extract_canonical(comb.terms[0][1], tol)
+    eq = unitary_equivalent(form, form, tol)
     _check(checks, "a canonical form is equivalent to itself", eq.equivalent)
     return _outcome(
         "km_reconstruction",

@@ -18,17 +18,14 @@ _MAX_SEED = 2**64
 
 @dataclass
 class SeededRng:
-    """A 64-bit-seeded PCG64 stream with complex-matrix convenience draws."""
+    """A PCG64 stream fixed by one 64-bit seed, with complex-matrix draws."""
 
     seed: int
-    algorithm: str = "pcg64"
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or not (0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported rng algorithm {self.algorithm!r}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     @property

@@ -1,8 +1,8 @@
 """Regenerate the golden CLI fixtures under tests/golden/.
 
 Writes the input channel files (``ebx gallery --all --emit``, seeded
-``ebx random`` draws, and four channels that are not EB or whose EB verdict
-is open) to ``inputs/`` and, for each one, the stdout, stderr
+``ebx random`` draws, four channels that are not EB or whose EB verdict is
+open, and the zero map) to ``inputs/`` and, for each one, the stdout, stderr
 and exit code of ``ebx analyze --json`` and ``ebx km --json`` to
 ``outputs/<input stem>.json``. The records of ``rn``, ``arveson``, ``equiv``
 and ``gallery --all`` on those inputs go to ``commands.json``, keyed by
@@ -25,6 +25,8 @@ import json
 import os
 import shutil
 from pathlib import Path
+
+import numpy as np
 
 from ebx import (
     SeededRng,
@@ -50,8 +52,9 @@ RANDOM_SEED = 1
 
 def _non_eb_inputs() -> dict:
     """Inputs that reach the analyze notes the gallery never writes: a map
-    that is not CP, one that fails PPT, one whose PPT test cannot decide, and
-    a C*-extreme one whose PPT test cannot decide."""
+    that is not CP, one that fails PPT, one whose PPT test cannot decide, a
+    C*-extreme one whose PPT test cannot decide, and the zero map, whose EB
+    certificate is built by the verdict and not attached to the file."""
     eb = random_unital_eb(SeededRng(1), 3, 3, n_terms=3)
     extreme = random_cstar_extreme(SeededRng(1), 3, 3)
     return {
@@ -59,6 +62,7 @@ def _non_eb_inputs() -> dict:
         "identity.m2.json": identity_channel(2),
         "bare_choi.unital-eb.3x3.seed1.json": choi_channel(to_choi(eb).matrix, 3, 3),
         "bare_choi.cstar-extreme.3x3.seed1.json": choi_channel(to_choi(extreme).matrix, 3, 3),
+        "bare_choi.zero.3x3.json": choi_channel(np.zeros((9, 9)), 3, 3),
     }
 
 

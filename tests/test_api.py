@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -36,10 +37,159 @@ PUBLIC_NAMES = [
     "stinespring", "svd_rank", "to_choi", "unitary_equivalent", "verify_decomposition",
 ]
 
+# str(inspect.signature(obj)) of every public callable except the error
+# classes, whose constructors are Exception's; DEFAULT_TOL stands for its repr
+SIGNATURES = {
+    "ArvesonDerivative": "(T: 'np.ndarray', residual: 'float') -> None",
+    "CStarCombination": (
+        "(d1: 'int', d2: 'int', terms: 'tuple[tuple[np.ndarray, Channel], ...]') -> None"
+    ),
+    "CanonicalEBForm": (
+        "(d1: 'int', d2: 'int', blocks: 'tuple[tuple[np.ndarray, np.ndarray], ...]') -> None"
+    ),
+    "Channel": (
+        "(d1: 'int', d2: 'int', representation: 'Representation', label: 'str | None' = None, "
+        "certificate: 'HolevoEnsemble | None' = None) -> None"
+    ),
+    "ChannelPredicates": (
+        "(is_cp: 'bool', is_unital: 'bool', is_tp: 'bool', "
+        "is_hermiticity_preserving: 'bool') -> None"
+    ),
+    "ChoiMatrix": "(d1: 'int', d2: 'int', matrix: 'np.ndarray') -> None",
+    "CommutantReport": "(dim: 'int', is_irreducible: 'bool') -> None",
+    "CqFlags": "(all_overlaps_nonzero: 'bool', min_overlap: 'float') -> None",
+    "DecompositionCheck": (
+        "(reconstruction_error: 'float', all_factors_extreme: 'bool', proper: 'bool', "
+        "factor_diagnostics: 'tuple[str, ...]') -> None"
+    ),
+    "EBVerdict": (
+        "(ppt: 'bool', conclusive: 'bool', is_eb: 'str', "
+        "certificate: 'HolevoEnsemble | None') -> None"
+    ),
+    "EquivalenceCheck": "(equivalent: 'bool', witness_unitary: 'np.ndarray | None') -> None",
+    "ExtremalityReport": (
+        "(choi_rank: 'int', is_cstar_extreme: 'bool', canonical: 'CanonicalEBForm | None', "
+        "is_cq_linear_extreme_in_ucp: 'bool | None', is_irreducible: 'bool') -> None"
+    ),
+    "FixedPointCheck": "(is_fixed: 'bool', commutes_with_all_kraus: 'bool') -> None",
+    "HolevoEnsemble": (
+        "(d1: 'int', d2: 'int', terms: 'tuple[tuple[np.ndarray, np.ndarray], ...]') -> None"
+    ),
+    "KrausSet": "(d1: 'int', d2: 'int', operators: 'tuple[np.ndarray, ...]') -> None",
+    "LocatedPiece": "(block_index: 'int', R: 'np.ndarray') -> None",
+    "RNDerivative": (
+        "(R: 'np.ndarray', per_block: 'tuple[np.ndarray, ...]', residual: 'float') -> None"
+    ),
+    "RankBounds": "(choi_rank: 'int', eb_rank_lower: 'int', eb_rank_upper: 'int') -> None",
+    "SeededRng": "(seed: 'int') -> None",
+    "StinespringTriple": (
+        "(d1: 'int', d2: 'int', dilation_dim: 'int', isometry: 'np.ndarray') -> None"
+    ),
+    "Tolerance": (
+        "(rank_rel: 'float' = 1e-09, psd_floor: 'float' = 1e-09, "
+        "eq_abs: 'float' = 1e-09) -> None"
+    ),
+    "adjoint": "(ch: 'Channel') -> 'Channel'",
+    "apply": "(ch: 'Channel', x) -> 'np.ndarray'",
+    "arveson_derivative": (
+        "(phi: 'Channel', psi: 'Channel', "
+        "tol: 'Tolerance' = DEFAULT_TOL) -> 'ArvesonDerivative'"
+    ),
+    "as_matrix": "(m) -> 'np.ndarray'",
+    "channel_from_json": "(doc: 'Any') -> 'Channel'",
+    "channel_from_map": (
+        "(fn: 'Callable[[np.ndarray], np.ndarray]', d1: 'int', d2: 'int', "
+        "label: 'str | None' = None) -> 'Channel'"
+    ),
+    "channel_to_json": "(ch: 'Channel') -> 'dict'",
+    "choi_channel": (
+        "(matrix, d1: 'int', d2: 'int', label: 'str | None' = None, "
+        "certificate: 'HolevoEnsemble | None' = None) -> 'Channel'"
+    ),
+    "choi_to_kraus": "(c: 'ChoiMatrix', tol: 'Tolerance' = DEFAULT_TOL) -> 'KrausSet'",
+    "commutant_dimension": "(ch: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'CommutantReport'",
+    "compose_ad": "(t, ch: 'Channel', label: 'str | None' = None) -> 'Channel'",
+    "cq_remark_flags": "(form: 'CanonicalEBForm', tol: 'Tolerance' = DEFAULT_TOL) -> 'CqFlags'",
+    "dominates_cp": "(big: 'Channel', small: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'bool'",
+    "dominates_eb": (
+        "(big: 'Channel', small: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'EBVerdict'"
+    ),
+    "eb_verdict": "(ch: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'EBVerdict'",
+    "evaluate": "(comb: 'CStarCombination', tol: 'Tolerance' = DEFAULT_TOL) -> 'Channel'",
+    "extract_canonical": "(ch: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'CanonicalEBForm'",
+    "extremality_witness": (
+        "(canonical: 'CanonicalEBForm', psi: 'Channel', "
+        "tol: 'Tolerance' = DEFAULT_TOL) -> 'np.ndarray'"
+    ),
+    "fixed_point_check": "(ch: 'Channel', a, tol: 'Tolerance' = DEFAULT_TOL) -> 'FixedPointCheck'",
+    "herm_eig": "(m, tol: 'Tolerance' = DEFAULT_TOL) -> 'tuple[np.ndarray, np.ndarray]'",
+    "hermitian_basis": "(d: 'int') -> 'list[np.ndarray]'",
+    "holevo_channel": "(terms, label: 'str | None' = None) -> 'Channel'",
+    "holevo_to_kraus": "(h: 'HolevoEnsemble', tol: 'Tolerance' = DEFAULT_TOL) -> 'KrausSet'",
+    "identity_channel": "(d: 'int') -> 'Channel'",
+    "is_cstar_extreme": "(ch: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'ExtremalityReport'",
+    "is_ppt": "(ch: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'bool'",
+    "is_proper": "(comb: 'CStarCombination', tol: 'Tolerance' = DEFAULT_TOL) -> 'bool'",
+    "is_psd": "(m, tol: 'Tolerance' = DEFAULT_TOL) -> 'bool'",
+    "km_decompose": "(ch: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'CStarCombination'",
+    "kraus_channel": (
+        "(operators, label: 'str | None' = None, "
+        "certificate: 'HolevoEnsemble | None' = None) -> 'Channel'"
+    ),
+    "load_channel": "(path) -> 'Channel'",
+    "locate_dominated_rank_one": (
+        "(canonical: 'CanonicalEBForm', x, y, "
+        "tol: 'Tolerance' = DEFAULT_TOL) -> 'LocatedPiece'"
+    ),
+    "matrix_units": "(d: 'int') -> 'list[np.ndarray]'",
+    "max_abs": "(m) -> 'float'",
+    "nullspace": "(m, tol: 'Tolerance' = DEFAULT_TOL) -> 'np.ndarray'",
+    "partial_transpose_choi": "(choi: 'np.ndarray', d1: 'int', d2: 'int') -> 'np.ndarray'",
+    "pinv": "(m, tol: 'Tolerance' = DEFAULT_TOL) -> 'np.ndarray'",
+    "predicates": "(ch: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'ChannelPredicates'",
+    "psd_sqrt": "(m, tol: 'Tolerance' = DEFAULT_TOL) -> 'np.ndarray'",
+    "random_cstar_extreme": (
+        "(rng: 'SeededRng', d1: 'int', d2: 'int', n_blocks: 'int | None' = None, "
+        "tol: 'Tolerance' = DEFAULT_TOL) -> 'Channel'"
+    ),
+    "random_unital_eb": (
+        "(rng: 'SeededRng', d1: 'int', d2: 'int', n_terms: 'int', "
+        "tol: 'Tolerance' = DEFAULT_TOL) -> 'Channel'"
+    ),
+    "rank_bounds": "(ch: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'RankBounds'",
+    "reconstruct": "(form: 'CanonicalEBForm', label: 'str | None' = None) -> 'Channel'",
+    "rn_derivative": (
+        "(canonical: 'CanonicalEBForm', psi: 'Channel', "
+        "tol: 'Tolerance' = DEFAULT_TOL) -> 'RNDerivative'"
+    ),
+    "save_channel": "(ch: 'Channel', path) -> 'None'",
+    "stinespring": "(ch: 'Channel', tol: 'Tolerance' = DEFAULT_TOL) -> 'StinespringTriple'",
+    "svd_rank": "(m, tol: 'Tolerance' = DEFAULT_TOL) -> 'int'",
+    "to_choi": "(ch: 'Channel') -> 'ChoiMatrix'",
+    "unitary_equivalent": (
+        "(a: 'CanonicalEBForm', b: 'CanonicalEBForm', "
+        "tol: 'Tolerance' = DEFAULT_TOL) -> 'EquivalenceCheck'"
+    ),
+    "verify_decomposition": (
+        "(comb: 'CStarCombination', target: 'Channel', "
+        "tol: 'Tolerance' = DEFAULT_TOL) -> 'DecompositionCheck'"
+    ),
+}
+
 
 def test_public_names_are_pinned():
     assert sorted(ebx.__all__) == PUBLIC_NAMES
     assert len(set(ebx.__all__)) == len(ebx.__all__)
+
+
+def test_public_signatures_are_pinned():
+    got = {}
+    for name in ebx.__all__:
+        obj = getattr(ebx, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException)):
+            sig = str(inspect.signature(obj))
+            got[name] = sig.replace(repr(ebx.DEFAULT_TOL), "DEFAULT_TOL")
+    assert got == SIGNATURES
 
 
 def test_each_name_comes_from_exactly_one_module():

@@ -35,7 +35,11 @@ from ebx import (
     to_choi,
     verify_decomposition,
 )
-from ebx.gallery import diagonal_pinching_channel, partial_averaging_channel
+from ebx.gallery import (
+    depolarizing_channel,
+    diagonal_pinching_channel,
+    partial_averaging_channel,
+)
 from ebx.linalg import max_abs, svd_rank
 
 from support import (
@@ -288,6 +292,14 @@ def test_verify_flags_non_extreme_factors():
     assert len(check.factor_diagnostics) == 2
     assert "factor 0" in check.factor_diagnostics[0]
     assert "NotEB" in check.factor_diagnostics[0]  # the identity is not EB
+
+
+def test_verify_names_the_choi_rank_of_a_non_extreme_factor():
+    # the depolarizing channel is unital EB, so only the rank criterion fails
+    phi = depolarizing_channel(2)
+    check = verify_decomposition(CStarCombination(2, 2, ((E2, phi),)), phi)
+    assert check.factor_diagnostics == ("factor 0: not C*-extreme (choi rank 4)",)
+    assert not check.all_factors_extreme
 
 
 def test_verify_propagates_normalization_failure():

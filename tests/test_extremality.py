@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebx import (
     CanonicalEBForm,
@@ -27,6 +28,7 @@ from ebx import (
     holevo_to_kraus,
     dominates_cp,
     dominates_eb,
+    eb_verdict,
     extract_canonical,
     extremality_witness,
     hermitian_basis,
@@ -488,6 +490,11 @@ def test_dominates_eb_makes_two_psd_checks(monkeypatch):
     assert len(calls) == 2
 
 
+def test_dominates_cp_is_false_for_a_non_hermitian_difference():
+    # the Choi difference of id and X -> iX is (1 - i) times a psd matrix
+    assert not dominates_cp(identity_channel(2), channel_from_map(lambda x: 1j * x, 2, 2))
+
+
 def test_domination_dimension_check():
     with pytest.raises(DimensionMismatch):
         dominates_cp(diagonal_pinching_channel(), identity_channel(3))
@@ -534,6 +541,21 @@ def test_rn_derivative_preconditions():
         rn_derivative(form, channel_from_map(lambda x: x.T, 2, 2))
     with pytest.raises(DimensionMismatch):
         rn_derivative(form, identity_channel(3))
+
+
+def test_rn_derivative_refuses_cross_terms_between_blocks():
+    # Psi(X) = (Phi(X) R + R Phi(X)) / 2 with R off-diagonal by 1e-4: at
+    # equal tolerances Psi is not CP (the Radon-Nikodym theorem makes a
+    # dominated CP map factor through a commuting R); a loose psd floor lets
+    # it reach the cross-term check
+    phi = diagonal_pinching_channel()
+    r = np.array([[0.5, 1e-4], [1e-4, 0.5]])
+    psi = channel_from_map(lambda x: (apply(phi, x) @ r + r @ apply(phi, x)) / 2, 2, 2)
+    form = extract_canonical(phi)
+    with pytest.raises(NotCP):
+        rn_derivative(form, psi)
+    with pytest.raises(VerificationFailed, match="Psi\\(I\\) has cross terms"):
+        rn_derivative(form, psi, Tolerance(psd_floor=1e-3))
 
 
 def test_rn_derivative_checks_cp_before_the_form_and_dims():
@@ -732,6 +754,22 @@ def test_arveson_round_trip_on_independent_frame():
         assert max_abs(der.T - t0) <= 1e-8
 
 
+def test_arveson_refuses_a_dominated_map_outside_the_kraus_span():
+    # at equal tolerances the domination check already refuses psi (its
+    # Choi difference has an eigenvalue -1e-5), because domination implies
+    # the frame identity; a loose psd floor lets psi through to that check
+    e11, e22 = unit(2, 0, 0), unit(2, 1, 1)
+    phi = kraus_channel([e11])
+    psi = kraus_channel([np.sqrt(0.5) * e11, np.sqrt(1e-5) * e22])
+    with pytest.raises(PreconditionDomination):
+        arveson_derivative(phi, psi)
+    with pytest.raises(
+        VerificationFailed,
+        match=r"not expressible in phi's Kraus frame \(residual 1\.000e-05\)",
+    ):
+        arveson_derivative(phi, psi, Tolerance(psd_floor=1e-3))
+
+
 def test_arveson_requires_domination():
     phi = diagonal_pinching_channel()
     with pytest.raises(PreconditionDomination):
@@ -859,6 +897,42 @@ def test_multiblock_forms_have_nontrivial_commutant():
         assert report.dim >= form.n_blocks
         if form.n_blocks >= 2:
             assert not report.is_irreducible
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=2, max_value=4),
+    st.booleans(),
+)
+def test_extremality_facts_are_local_unitary_invariant(seed, d1, d2, extreme):
+    rng = SeededRng(seed)
+    if extreme:
+        drawn = random_cstar_extreme(rng, d1, d2)
+    else:
+        drawn = random_unital_eb(rng, d1, d2, n_terms=d1 * d2)
+    u, v = rng.unitary(d1), rng.unitary(d2)
+
+    def rotated(left, right):
+        # Ad_right o Phi o Ad_left, as a bare Choi channel
+        return channel_from_map(
+            lambda x: right.conj().T @ apply(drawn, left @ x @ left.conj().T) @ right, d1, d2
+        )
+
+    phi, psi = rotated(np.eye(d1), np.eye(d2)), rotated(u, v)
+    va, vb = eb_verdict(phi), eb_verdict(psi)
+    assert (va.is_eb, va.conclusive, va.ppt) == (vb.is_eb, vb.conclusive, vb.ppt)
+    ra, rb = is_cstar_extreme(phi), is_cstar_extreme(psi)
+    assert (ra.is_cstar_extreme, ra.choi_rank, ra.is_irreducible) == (
+        rb.is_cstar_extreme, rb.choi_rank, rb.is_irreducible
+    )
+    assert ra.is_cstar_extreme == extreme
+    assert commutant_dimension(phi).dim == commutant_dimension(psi).dim
+    if extreme:
+        assert sorted(ra.canonical.block_ranks()) == sorted(rb.canonical.block_ranks())
+        output_only = extract_canonical(rotated(np.eye(d1), v))
+        assert unitary_equivalent(ra.canonical, output_only).equivalent
 
 
 def test_single_output_dimension_is_irreducible():
