@@ -16,8 +16,9 @@ held in one of three interchangeable representations:
 Conversions between representations are exact for completely positive maps
 up to floating point, and ``apply`` agrees across representations of the
 same map. A channel whose representation is a ``HolevoEnsemble``, or that
-carries one in its ``certificate`` field, is certified entanglement
-breaking by construction.
+carries one in its ``certificate`` field, is taken as entanglement breaking:
+the ensemble is trusted as given, and nothing checks that its terms are psd
+or that a certificate realizes the map (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -148,9 +149,10 @@ Representation = Union[KrausSet, ChoiMatrix, HolevoEnsemble]
 class Channel:
     """A linear map M_d1 -> M_d2 with one concrete representation.
 
-    ``certificate`` optionally carries a Holevo ensemble realizing the same
-    map, which certifies the channel entanglement breaking even when the
-    working representation is Kraus or Choi.
+    ``certificate`` optionally carries a Holevo ensemble meant to realize the
+    same map, which marks the channel entanglement breaking even when the
+    working representation is Kraus or Choi. Only its dimensions are
+    checked: the ensemble is trusted, not verified (ROADMAP item 1).
     """
 
     d1: int

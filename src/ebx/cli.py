@@ -18,6 +18,7 @@ failed preconditions, failed gallery checks).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -104,20 +105,11 @@ def _build_report(ch: Channel, tol: Tolerance) -> dict:
     p = predicates(ch, tol)
     report: dict = {
         "version": __version__,
-        "tolerance": {
-            "rank_rel": tol.rank_rel,
-            "psd_floor": tol.psd_floor,
-            "eq_abs": tol.eq_abs,
-        },
+        "tolerance": dataclasses.asdict(tol),
         "label": ch.label,
         "d1": ch.d1,
         "d2": ch.d2,
-        "predicates": {
-            "is_cp": p.is_cp,
-            "is_unital": p.is_unital,
-            "is_tp": p.is_tp,
-            "is_hermiticity_preserving": p.is_hermiticity_preserving,
-        },
+        "predicates": dataclasses.asdict(p),
         "choi_rank": svd_rank(to_choi(ch).matrix, tol),
         "notes": [],
     }
@@ -236,13 +228,7 @@ def _cmd_km(args, tol: Tolerance) -> int:
     ch = load_channel(args.channel)
     comb = km_decompose(ch, tol)
     check = verify_decomposition(comb, ch, tol)
-    doc = {
-        "n_terms": comb.n_terms,
-        "reconstruction_error": check.reconstruction_error,
-        "all_factors_extreme": check.all_factors_extreme,
-        "proper": check.proper,
-        "factor_diagnostics": list(check.factor_diagnostics),
-    }
+    doc = {"n_terms": comb.n_terms, **dataclasses.asdict(check)}
     if args.emit:
         payload = {
             "d1": comb.d1,
@@ -394,10 +380,7 @@ def _cmd_gallery(args, tol: Tolerance) -> int:
                 "name": o.name,
                 "summary": o.summary,
                 "passed": o.passed,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in o.checks
-                ],
+                "checks": [dataclasses.asdict(c) for c in o.checks],
             }
             for o in outcomes
         ]

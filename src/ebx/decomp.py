@@ -35,7 +35,7 @@ from .errors import (
     NotCP,
     NotUnital,
 )
-from .extremality import is_cstar_extreme
+from .extremality import CanonicalEBForm, is_cstar_extreme, reconstruct
 from .linalg import DEFAULT_TOL, Tolerance, max_abs, psd_sqrt, svd_rank
 
 __all__ = [
@@ -149,11 +149,8 @@ def km_decompose(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CStarCombination:
     terms: list[tuple[np.ndarray, Channel]] = []
     for mu, u, nu, v in _rank_one_pieces(ensemble, tol):
         coeff = np.sqrt(mu * nu) * np.outer(v, v.conj())
-        factor = Channel(
-            d1,
-            d2,
-            HolevoEnsemble(d1, d2, ((np.outer(u, u.conj()), np.eye(d2, dtype=complex)),)),
-            label="pure-state-inflation",
+        factor = reconstruct(
+            CanonicalEBForm(d1, d2, ((u, np.eye(d2)),)), label="pure-state-inflation"
         )
         terms.append((coeff, factor))
     if not terms:

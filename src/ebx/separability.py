@@ -8,7 +8,10 @@ separability itself is hard in general, the verdict here is three valued:
   a Holevo ensemble is attached: a separable Choi matrix is PPT, so every
   EB map is PPT (Horodecki, Shor and Ruskai, Rev. Math. Phys. 15, 629), and
   an ensemble on a map that fails PPT has a term that is not psd,
-* PPT channels carrying a Holevo certificate are "yes",
+* PPT channels carrying a Holevo certificate are "yes"; the ensemble is
+  taken as given, unchecked for psd terms or for realizing the map
+  (ROADMAP item 1), so a hermitian but non-psd ensemble of a PPT entangled
+  map gets a wrong "yes",
 * otherwise a passed PPT test is definitive ("yes") only when d1*d2 <= 6,
   and "unknown" beyond that window.
 
@@ -205,6 +208,9 @@ def random_cstar_extreme(
     u_i are pairwise-distinct random pure states. Channels of this shape are
     exactly the C*-extreme points of the unital entanglement-breaking maps,
     so this generator produces certified positives for extremality tests.
+    ``tol`` is never read: states count as distinct by the fixed
+    ``DISTINCT_STATE_MARGIN``. The parameter stays for signature
+    compatibility.
     """
     _check_dims(d1, d2)
     if n_blocks is None:

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebx import (
+    Channel,
     ChoiMatrix,
     DimensionMismatch,
+    HolevoEnsemble,
     InternalInconsistency,
+    KrausSet,
     NotCP,
     NotPSD,
     NotUnitalTP,
@@ -84,6 +87,51 @@ def test_boolean_dims_are_rejected(dims):
 def test_holevo_channel_shape_check():
     with pytest.raises(DimensionMismatch):
         holevo_channel([(np.eye(2), np.eye(3)), (np.eye(3), np.eye(3))])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: KrausSet(2, 2, ()), "KrausSet requires at least one operator"),
+        (lambda: HolevoEnsemble(2, 2, ()), "HolevoEnsemble requires at least one term"),
+        (lambda: holevo_channel([]), "need at least one Holevo term"),
+    ],
+)
+def test_empty_representations_are_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: HolevoEnsemble(2, 2, ((np.eye(2), np.eye(3)),)),
+            "Holevo output of shape (3, 3), expected (2, 2)",
+        ),
+        (
+            lambda: Channel(2, 2, KrausSet(2, 3, (np.zeros((2, 3)),))),
+            "representation dims (2, 3) do not match channel dims (2, 2)",
+        ),
+        (
+            lambda: kraus_channel(
+                [np.eye(2)], certificate=HolevoEnsemble(3, 3, ((np.eye(3), np.eye(3)),))
+            ),
+            "certificate dims do not match channel dims",
+        ),
+        (
+            lambda: channel_from_map(lambda x: np.zeros((3, 3)), 2, 2),
+            "map produced shape (3, 3), expected (2, 2)",
+        ),
+        (
+            lambda: fixed_point_check(identity_channel(2), np.eye(3)),
+            "operand of shape (3, 3), expected (2, 2)",
+        ),
+    ],
+)
+def test_mismatched_dims_are_rejected(build, message):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_matrix_units_and_hermitian_basis():

@@ -198,11 +198,34 @@ OVERFLOW_FILES = {
     ),
 }
 
+# Python's json reads NaN and Infinity, so the parse check must refuse them
+NON_FINITE_FILES = {
+    "kraus_nan.json": (
+        b'{"d1": 2, "d2": 2, "representation": {"type": "kraus", '
+        b'"operators": [[[NaN, 0], [0, 1]]]}}'
+    ),
+    "holevo_infinity.json": (
+        b'{"d1": 2, "d2": 2, "representation": {"type": "holevo", '
+        b'"terms": [{"F": [[Infinity, 0], [0, 1]], "R": [[1, 0], [0, 1]]}]}}'
+    ),
+}
+
 MALFORMED_FILES = {
     "deep.json": ("[" * 100_000 + "]" * 100_000).encode(),
     "not_utf8.json": b"\xff\xfe",
+    "kraus_nan.json": NON_FINITE_FILES["kraus_nan.json"],
     **OVERFLOW_FILES,
 }
+
+
+def run_ebx_subprocess(*argv, python_flags=()):
+    """``python -m ebx.cli argv`` in a child process, importing ``src/``."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "ebx.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def test_deeply_nested_file_is_exit_1(tmp_path, capsys):
@@ -240,16 +263,23 @@ def test_overflowing_choi_matrix_is_exit_1(tmp_path, capsys, command, name):
 def test_malformed_file_is_exit_1_in_a_subprocess(tmp_path, name):
     path = tmp_path / name
     path.write_bytes(MALFORMED_FILES[name])
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "ebx.cli", "analyze", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = run_ebx_subprocess("analyze", str(path), python_flags=("-W", "error"))
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("ebx: error: ")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, name", [("analyze", "kraus_nan.json"), ("km", "holevo_infinity.json")]
+)
+def test_non_finite_entry_is_exit_1_in_a_subprocess(tmp_path, command, name):
+    path = tmp_path / name
+    path.write_bytes(NON_FINITE_FILES[name])
+    done = run_ebx_subprocess(command, str(path), python_flags=("-W", "error"))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "ebx: error: invalid channel data: matrix entries must be finite\n"
 
 
 def test_domain_error_is_exit_2(pinching_file, capsys):
@@ -496,16 +526,24 @@ def test_random_rejects_bad_dims(capsys):
     assert main(argv) == 2  # more blocks than d2 is a domain error
 
 
+def test_random_degenerate_draw_is_exit_2(capsys):
+    # C^1 holds one pure state, so two blocks cannot have distinct states
+    argv = ["random", "--kind", "cstar-extreme", "--d1", "1", "--d2", "2", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ebx: error: could not draw 2 pairwise-distinct pure states in C^1\n"
+    )
+
+
 @pytest.mark.parametrize("kind", ["povm-ensemble", "cstar-extreme"])
 @pytest.mark.parametrize("d1, d2", [(0, 2), (2, 0), (-1, 2), (2, -1)])
 def test_random_nonpositive_dims_is_exit_2_in_a_subprocess(kind, d1, d2):
     # a zero input dimension once made the unit-vector draw loop forever
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run(
-        [sys.executable, "-m", "ebx.cli", "random", "--kind", kind, "--d1", str(d1),
-         "--d2", str(d2), "--terms", "1", "--seed", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
+    done = run_ebx_subprocess(
+        "random", "--kind", kind, "--d1", str(d1), "--d2", str(d2), "--terms", "1",
+        "--seed", "1",
     )
     assert done.returncode == 2
     assert done.stdout == ""

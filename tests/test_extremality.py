@@ -883,6 +883,22 @@ def test_equivalence_dimension_check():
         unitary_equivalent(pinching_form(), two_block_form())
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (((E2[:, 0], np.array([[1.0, 1.0], [0.0, 0.0]])),), "block projection is not hermitian"),
+        (
+            ((E2[:, 0], unit(2, 1, 1)), (E2[:, 1], unit(2, 1, 1))),
+            "block projections are not orthogonal",
+        ),
+    ],
+)
+def test_equivalence_checks_the_form_invariants(blocks, message):
+    form = CanonicalEBForm(2, 2, blocks)
+    with pytest.raises(StructureViolation, match=f"^{message}$"):
+        unitary_equivalent(form, form)
+
+
 # --- commutant growth with the number of blocks ---
 
 

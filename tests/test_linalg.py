@@ -48,10 +48,10 @@ def test_tolerance_accepts_boundary():
 def test_as_matrix_rejects_non_2d_and_non_finite():
     with pytest.raises(ValueError):
         as_matrix(np.zeros(3))
-    with pytest.raises(ValueError):
-        as_matrix([[np.inf, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        as_matrix([[np.nan, 0], [0, 1]])
+    # 1j * inf is (nan + inf j); complex(0, inf) leaves the real part finite
+    for bad in (np.inf, np.nan, 1j * np.inf, complex(0, np.inf), complex(0, np.nan)):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_matrix([[bad, 0], [0, 1]])
 
 
 def test_max_abs():

@@ -5,6 +5,7 @@ import pytest
 
 from ebx import (
     DEFAULT_TOL,
+    DegenerateDraw,
     DimensionMismatch,
     HolevoEnsemble,
     NotCP,
@@ -356,6 +357,14 @@ def test_random_cstar_extreme_block_count_validation():
         random_cstar_extreme(SeededRng(0), 2, 3, n_blocks=4)
     with pytest.raises(ValueError):
         random_cstar_extreme(SeededRng(0), 2, 3, n_blocks=0)
+
+
+def test_random_cstar_extreme_needs_distinct_states():
+    # C^1 holds a single pure state, so two blocks cannot have distinct ones
+    with pytest.raises(
+        DegenerateDraw, match=r"^could not draw 2 pairwise-distinct pure states in C\^1$"
+    ):
+        random_cstar_extreme(SeededRng(1), 1, 2)
 
 
 def test_ppt_survives_conjugation():

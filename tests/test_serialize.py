@@ -96,6 +96,8 @@ def test_label_is_optional():
         lambda d: d["representation"]["operators"][0][0].__setitem__(0, "x"),
         lambda d: d["representation"]["operators"][0][0].__setitem__(0, [1, 2, 3]),
         lambda d: d["representation"]["operators"][0][0].__setitem__(0, True),
+        lambda d: d["representation"]["operators"][0][0].__setitem__(0, float("nan")),
+        lambda d: d.update(representation={"type": "holevo", "terms": []}),
     ],
 )
 def test_malformed_documents_raise_parse_error(mutate):
