@@ -569,25 +569,6 @@ def fixed_point_check(ch: Channel, a, tol: Tolerance = DEFAULT_TOL) -> FixedPoin
     return FixedPointCheck(is_fixed=bool(is_fixed), commutes_with_all_kraus=bool(commutes))
 
 
-def _commutator_system(basis: np.ndarray) -> np.ndarray:
-    """The stacked blocks I (x) B_k^T - B_k (x) I of an (r, d, d) stack.
-
-    Written in place into one (r, d, d, d, d) array, whose entry
-    (k, a, p, c, q) is I[a, c] B_k[q, p] - B_k[a, c] I[p, q]: every
-    I (x) B_k^T in one broadcast product, then B_k (x) I subtracted one
-    d-slab at a time. Each entry is formed by the same complex products and
-    subtraction as in ``np.kron``, so the (r d^2, d^2) result equals the
-    per-block kron stack bit for bit, signed zeros included.
-    """
-    r, d, _ = basis.shape
-    eye = np.eye(d, dtype=complex)
-    system = np.empty((r, d, d, d, d), dtype=complex)
-    np.multiply(eye[:, None, :, None], basis.transpose(0, 2, 1)[:, None, :, None, :], out=system)
-    for p in range(d):
-        system[:, :, p] -= basis[:, :, :, None] * eye[p]
-    return system.reshape(r * d * d, d * d)
-
-
 def _channel_range_basis(ch: Channel, tol: Tolerance) -> np.ndarray:
     """A Hilbert-Schmidt orthonormal basis B_1..B_r of the channel's range,
     as an (r, d2, d2) stack.
@@ -607,30 +588,52 @@ def _channel_range_basis(ch: Channel, tol: Tolerance) -> np.ndarray:
 
 def commutant_dimension(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CommutantReport:
     """Dimension of the commutant of the channel's range: ``_commutant_report``
-    on one range basis per call (``_channel_range_basis``)."""
+    on one range basis per call (``_channel_range_basis``), at the cost of one
+    d2^2 x d2^2 ``eigh`` of a gram matrix G and one SVD on its near-kernel W."""
     return _commutant_report(_channel_range_basis(ch, tol), tol)
+
+
+# the gram eigenvalues ``_commutant_report`` re-reads, relative to max(sigma_max, 1)^2
+_GRAM_SPLIT = 1e-3
 
 
 def _commutant_report(basis: np.ndarray, tol: Tolerance) -> CommutantReport:
     """The commutant of a range with orthonormal basis B_1..B_r, an (r, d2, d2)
-    stack: the kernel of the system A B_k = B_k A in vec(A): r
-    blocks I (x) B_k^T - B_k (x) I instead of d1^2, filled in place into one
-    preallocated array (``_commutator_system``) rather than built by a kron
-    pair per block. Its dimension is d2^2 minus the system's numerical rank.
-    That rank counts singular values above
+    stack: the kernel of the system S of blocks I (x) B_k^T - B_k (x) I, which
+    maps row-major vec(X) to vec(X B_k - B_k X). Its dimension is d2^2 minus
+    the number of singular values of S above
     ``tol.rank_rel * max(sigma_max, 1)``: the floor at 1 is the scale of the
     unit-norm generators (each block has operator norm <= 2), so when the
-    range is the scalars the system is rounding noise, has rank 0, and the
-    dimension is d2^2. The range is irreducible exactly when only scalars
-    commute with it. ``is_cstar_extreme`` shares its range basis with the
-    extraction and calls this only when canonical extraction fails.
+    range is the scalars S is rounding noise, has rank 0, and the dimension
+    is d2^2. The range is irreducible exactly when only scalars commute with
+    it. ``is_cstar_extreme`` shares its range basis with the extraction and
+    calls this only when canonical extraction fails.
+
+    S is never formed. Its gram matrix G = S^* S = I (x) Q + P (x) I - K - K^*,
+    with P = sum B_k^* B_k, Q = conj(sum B_k B_k^*) and
+    K = sum B_k (x) conj(B_k), comes from one product of the flattened basis.
+    Its eigenvalues, the squared singular values, cannot resolve the cutoff,
+    so the singular values are read from S W instead: the commutators of the
+    eigenvectors W with eigenvalue at most (_GRAM_SPLIT * max(sigma_max, 1))^2.
+    The split decides nothing: every other direction has a singular value six
+    orders above the cutoff and counts as rank. Nothing assumes the range
+    closed under adjoints.
     """
-    d2 = basis.shape[1]
-    rank = 0
-    if len(basis):
-        s = np.linalg.svd(_commutator_system(basis), compute_uv=False)
-        rank = int(np.count_nonzero(s > tol.rank_rel * max(float(s[0]), 1.0)))
-    dim = d2 * d2 - rank
+    r, d2, _ = basis.shape
+    n = d2 * d2
+    flat = basis.reshape(r, n)
+    # m[a, c, p, q] = sum_k B_k[a, c] conj(B_k[p, q]); P, Q conjugate its partial traces
+    m = (flat.T @ flat.conj()).reshape(d2, d2, d2, d2)
+    p = np.trace(m, axis1=0, axis2=2).conj()
+    q = np.trace(m, axis1=1, axis2=3).conj()
+    eye = np.eye(d2)
+    kron_sum = eye[:, None, :, None] * q[:, None, :] + p[:, None, :, None] * eye[:, None, :]
+    # K is m with axes (0, 2, 1, 3); G is the hermitian part of I (x) Q + P (x) I - 2 K
+    lam, vecs = np.linalg.eigh(_sym((kron_sum - 2.0 * m.transpose(0, 2, 1, 3)).reshape(n, n)))
+    scale = float(np.sqrt(max(lam[-1], 1.0)))
+    xs = vecs[:, lam <= (_GRAM_SPLIT * scale) ** 2].T.reshape(-1, 1, d2, d2)
+    s = np.linalg.svd((xs @ basis - basis @ xs).reshape(len(xs), -1), compute_uv=False)
+    dim = len(xs) - int(np.count_nonzero(s > tol.rank_rel * scale))
     return CommutantReport(dim=dim, is_irreducible=(dim == 1))
 
 

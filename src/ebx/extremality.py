@@ -367,9 +367,9 @@ def is_cstar_extreme(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> ExtremalityRe
     One range basis per call serves the extraction's commutativity check
     and, only when extraction fails, the commutant (``_commutant_report``).
     Irreducibility is read off a successful extraction: the range then lies
-    in the span of the commuting projections P_i, so it is commutative and
-    its commutant holds both the range and the identity. That commutant is
-    the scalars exactly when d2 == 1.
+    in the span of the orthogonal projections P_i, of ranks r_i, so its
+    commutant contains the block algebra of the M_{r_i}, of dimension
+    sum r_i^2 >= d2, and is the scalars exactly when d2 == 1.
     """
     basis = _checked_range_basis(ch, tol)
     form: CanonicalEBForm | None

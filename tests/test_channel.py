@@ -1,12 +1,14 @@
 """Representations, conversions, and structural operations on channels."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebx import (
+    DEFAULT_TOL,
     Channel,
     ChoiMatrix,
     DimensionMismatch,
@@ -39,7 +41,7 @@ from ebx import (
     to_choi,
 )
 from ebx import gallery
-from ebx.channel import _apply_stack, _commutator_system
+from ebx.channel import _apply_stack, _channel_range_basis, _commutant_report
 from ebx.linalg import _sym, max_abs, svd_rank
 
 from support import (
@@ -537,31 +539,65 @@ def test_commutant_matches_full_stacked_system():
     assert 0 < scalar < len(cases)
 
 
-def _commutant_bases(rng: SeededRng, d: int):
-    """(r, d, d) stacks for r in {1, 2, d, d^2}: orthonormal rows of a thin
-    SVD, as commutant_dimension uses, and sparse ones whose exact and signed
-    zeros and -1 entries exercise the zero products of the kron blocks."""
-    for r in sorted({1, min(2, d * d), d, d * d}):
-        raw = rng.complex_normal((r, d * d))
-        yield np.linalg.svd(raw, full_matrices=False)[2].reshape(r, d, d)
-        sparse = rng.complex_normal((r, d, d))
-        gen = rng.generator
-        sparse[gen.random(sparse.shape) < 0.4] = 0.0
-        sparse.real[gen.random(sparse.shape) < 0.3] = -0.0
-        sparse.imag[gen.random(sparse.shape) < 0.3] = -0.0
-        sparse[gen.random(sparse.shape) < 0.1] = -1.0
-        yield sparse
+def _mixture(phi, psi, t):
+    """The Holevo channel of the terms of (1 - t) phi and t psi."""
+    terms = [(f, (1.0 - t) * r) for f, r in phi.representation.terms]
+    terms += [(f, t * r) for f, r in psi.representation.terms]
+    return holevo_channel(terms)
 
 
-@pytest.mark.parametrize("d", range(1, 10))
-def test_commutator_system_equals_kron_stack_bitwise(d):
-    # int64 views compare the bit patterns, so signed zeros must match too
-    rng = SeededRng(9100 + d)
-    for basis in _commutant_bases(rng, d):
-        system = _commutator_system(basis)
-        expected = reference_commutator_system(basis)
-        assert system.shape == expected.shape == (len(basis) * d * d, d * d)
-        assert np.array_equal(system.view(np.int64), expected.view(np.int64))
+def _stacked_commutant_dimension(basis, tol) -> int:
+    """The cutoff rule of ``_commutant_report`` on the SVD of the full stack."""
+    s = np.linalg.svd(reference_commutator_system(basis), compute_uv=False)
+    return basis.shape[1] ** 2 - int(np.count_nonzero(s > tol.rank_rel * max(float(s[0]), 1.0)))
+
+
+def test_commutant_agrees_with_stack_near_the_cutoff():
+    # mixtures of a C*-extreme map and a random EB map whose small singular
+    # values cross rank_rel as t grows: the gram-matrix split must count
+    # exactly the singular values that the full stack's SVD counts
+    shapes = [(2, 2), (3, 3), (2, 4), (4, 2), (3, 4)]
+    dims = set()
+    for seed in range(1, 41):
+        d1, d2 = shapes[(seed - 1) % len(shapes)]
+        rng = SeededRng(seed)
+        phi = random_cstar_extreme(rng, d1, d2)
+        psi = random_unital_eb(rng, d1, d2, n_terms=3)
+        for t in np.logspace(-11, -8, 25):
+            basis = _channel_range_basis(_mixture(phi, psi, t), DEFAULT_TOL)
+            dim = _commutant_report(basis, DEFAULT_TOL).dim
+            assert dim == _stacked_commutant_dimension(basis, DEFAULT_TOL), (seed, t)
+            dims.add((d2, dim))
+    # the scan crosses the cutoff: blocks survive, then only scalars remain,
+    # with partial merges in between
+    assert {(2, 2), (2, 1), (4, 4), (4, 3), (4, 2), (4, 1)} <= dims
+
+
+def test_commutant_of_large_full_range_stays_small():
+    ch = random_unital_eb(SeededRng(1), 12, 12, n_terms=144)
+    tracemalloc.start()
+    try:
+        dim = commutant_dimension(ch).dim
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 1
+    assert peak < 16e6
+    # the floor at 1 keeps a scalar range at all of M_16
+    assert commutant_dimension(random_cstar_extreme(SeededRng(3), 16, 16, n_blocks=1)).dim == 256
+
+
+def test_commutant_of_range_not_closed_under_adjoints():
+    # neither range is closed under adjoints: X -> x11 I + x12 E12 has the
+    # commutant span{I, E12}, which no eigenbasis of a hermitian part
+    # (B + B^*) / 2 of its elements block-diagonalizes
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    a = np.array([[1, 2], [0, 1j]])
+    upper = channel_from_map(lambda x: x[0, 0] * np.eye(2) + x[0, 1] * e12, 2, 2)
+    left = channel_from_map(lambda x: a @ x, 2, 2)
+    for ch, expected in ((upper, 2), (left, 1)):
+        assert commutant_dimension(ch).dim == expected
+        assert reference_commutant_dimension(ch) == expected
 
 
 channel_kinds = st.sampled_from(["extreme", "eb"])
