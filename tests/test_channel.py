@@ -573,6 +573,37 @@ def test_commutant_agrees_with_stack_near_the_cutoff():
     assert {(2, 2), (2, 1), (4, 4), (4, 3), (4, 2), (4, 1)} <= dims
 
 
+def _commutant_bases(rng: SeededRng, d: int):
+    """(r, d, d) stacks for r in {1, 2, d, d^2}: orthonormal rows of a thin
+    SVD, as commutant_dimension uses, and sparse ones whose exact and signed
+    zeros and -1 entries make exact zero products in the commutators."""
+    for r in sorted({1, min(2, d * d), d, d * d}):
+        raw = rng.complex_normal((r, d * d))
+        yield np.linalg.svd(raw, full_matrices=False)[2].reshape(r, d, d)
+        sparse = rng.complex_normal((r, d, d))
+        gen = rng.generator
+        sparse[gen.random(sparse.shape) < 0.4] = 0.0
+        sparse.real[gen.random(sparse.shape) < 0.3] = -0.0
+        sparse.imag[gen.random(sparse.shape) < 0.3] = -0.0
+        sparse[gen.random(sparse.shape) < 0.1] = -1.0
+        yield sparse
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_commutant_report_equals_kron_stack_rule(d):
+    # the gram route must count exactly what the SVD of the formed stack counts
+    rng = SeededRng(9100 + d)
+    for basis in _commutant_bases(rng, d):
+        report = _commutant_report(basis, DEFAULT_TOL)
+        expected = _stacked_commutant_dimension(basis, DEFAULT_TOL)
+        assert report.dim == expected, (len(basis), d)
+        assert report.is_irreducible == (expected == 1)
+        # the identity always commutes, and a single generator commutes with itself
+        assert 1 <= report.dim <= d * d
+        if len(basis) == 1:
+            assert report.dim >= min(2, d * d)
+
+
 def test_commutant_of_large_full_range_stays_small():
     ch = random_unital_eb(SeededRng(1), 12, 12, n_terms=144)
     tracemalloc.start()
