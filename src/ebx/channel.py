@@ -24,7 +24,7 @@ or that a certificate realizes the map (ROADMAP item 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -142,7 +142,7 @@ class HolevoEnsemble:
                 )
 
 
-Representation = Union[KrausSet, ChoiMatrix, HolevoEnsemble]
+Representation = KrausSet | ChoiMatrix | HolevoEnsemble  # typing.Union's cache pins old imports
 
 
 @dataclass(frozen=True, eq=False)

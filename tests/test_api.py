@@ -206,15 +206,49 @@ def test_each_name_comes_from_exactly_one_module():
     assert sorted(seen) == PUBLIC_NAMES
 
 
-def test_star_import_is_warning_free():
-    code = "from ebx import *; assert callable(eb_verdict) and __version__"
+def _run_on_src(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports ebx from this checkout."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-W", "error", "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_star_import_is_warning_free():
+    done = _run_on_src("from ebx import *; assert callable(eb_verdict) and __version__")
     assert done.returncode == 0, done.stderr
+
+
+# six purge-and-import rounds; prints how many of the first five rounds' public
+# classes are still alive, by name, after a collection
+REIMPORT_PROBE = """
+import collections, gc, sys, weakref
+rounds = []
+for _ in range(6):
+    for name in [m for m in sys.modules if m.split(".")[0] == "ebx"]:
+        del sys.modules[name]
+    import ebx
+    rounds.append([
+        weakref.ref(obj) for obj in map(vars(ebx).get, ebx.__all__) if isinstance(obj, type)
+    ])
+gc.collect()
+assert all(ref() is not None for ref in rounds[-1])
+alive = collections.Counter(
+    f"{cls.__module__}.{cls.__qualname__}"
+    for refs in rounds[:-1] for ref in refs if (cls := ref()) is not None
+)
+print(dict(sorted(alive.items())))
+"""
+
+
+def test_reimport_frees_the_previous_import():
+    # the benchmark times setup by re-importing ebx; an earlier import that
+    # stays reachable (say, from typing's cache) keeps its modules in memory
+    done = _run_on_src(REIMPORT_PROBE)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "{}", f"alive of 5 earlier imports: {done.stdout.strip()}"
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from ebx import (
     to_choi,
 )
 from ebx import gallery
-from ebx.channel import _apply_stack, _channel_range_basis, _commutant_report
+from ebx.channel import Representation, _apply_stack, _channel_range_basis, _commutant_report
 from ebx.linalg import _sym, max_abs, svd_rank
 
 from support import (
@@ -134,6 +135,18 @@ def test_empty_representations_are_rejected(build, message):
 def test_mismatched_dims_are_rejected(build, message):
     with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_representation_is_the_union_of_the_three_forms():
+    assert typing.get_args(Representation) == (KrausSet, ChoiMatrix, HolevoEnsemble)
+    channels = (
+        kraus_channel([np.eye(2)]),
+        choi_channel(to_choi(identity_channel(2)).matrix, 2, 2),
+        holevo_channel([(np.eye(2), np.eye(2) / 2)]),
+    )
+    for ch, form in zip(channels, typing.get_args(Representation)):
+        assert type(ch.representation) is form
+        assert isinstance(ch.representation, Representation)
 
 
 def test_matrix_units_and_hermitian_basis():
