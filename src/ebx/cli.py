@@ -18,7 +18,6 @@ failed preconditions, failed gallery checks).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -34,20 +33,15 @@ from .extremality import (
     arveson_derivative,
     extract_canonical,
     is_cstar_extreme,
+    random_cstar_extreme,
     rn_derivative,
     unitary_equivalent,
 )
 from .gallery import CASE_NAMES, run_all, run_case
 from .linalg import DEFAULT_TOL, Tolerance, herm_eig, svd_rank
 from .rng import SeededRng
-from .separability import (
-    PPT_CONCLUSIVE_LIMIT,
-    eb_verdict,
-    random_cstar_extreme,
-    random_unital_eb,
-    rank_bounds,
-)
-from .serialize import _encode_matrix, _encode_scalar, channel_to_json, load_channel, save_channel
+from .separability import PPT_CONCLUSIVE_LIMIT, eb_verdict, random_unital_eb, rank_bounds
+from .serialize import _save_json, _to_json, channel_to_json, load_channel, save_channel
 
 __all__ = ["main"]
 
@@ -86,13 +80,7 @@ def _canonical_to_json(form: CanonicalEBForm) -> dict:
     return {
         "n_blocks": form.n_blocks,
         "block_ranks": list(form.block_ranks()),
-        "blocks": [
-            {
-                "state": [_encode_scalar(complex(z)) for z in u],
-                "projection": _encode_matrix(p),
-            }
-            for u, p in form.blocks
-        ],
+        "blocks": [{"state": _to_json(u), "projection": _to_json(p)} for u, p in form.blocks],
     }
 
 
@@ -105,11 +93,11 @@ def _build_report(ch: Channel, tol: Tolerance) -> dict:
     p = predicates(ch, tol)
     report: dict = {
         "version": __version__,
-        "tolerance": dataclasses.asdict(tol),
+        "tolerance": _to_json(tol),
         "label": ch.label,
         "d1": ch.d1,
         "d2": ch.d2,
-        "predicates": dataclasses.asdict(p),
+        "predicates": _to_json(p),
         "choi_rank": svd_rank(to_choi(ch).matrix, tol),
         "notes": [],
     }
@@ -135,7 +123,7 @@ def _build_report(ch: Channel, tol: Tolerance) -> dict:
         report["notes"].append(f"PPT conclusive: d1*d2 = {ch.d1 * ch.d2} <= {PPT_CONCLUSIVE_LIMIT}")
     elif verdict.is_eb == "no":
         report["notes"].append("fails PPT, which every EB channel must satisfy")
-    if verdict.is_eb == "unknown":
+    else:
         report["notes"].append(
             "EB verdict inconclusive: PPT holds but the dimension is outside "
             "the window where PPT implies separability and no ensemble "
@@ -228,22 +216,13 @@ def _cmd_km(args, tol: Tolerance) -> int:
     ch = load_channel(args.channel)
     comb = km_decompose(ch, tol)
     check = verify_decomposition(comb, ch, tol)
-    doc = {"n_terms": comb.n_terms, **dataclasses.asdict(check)}
+    doc = {"n_terms": comb.n_terms, **_to_json(check)}
     if args.emit:
-        payload = {
-            "d1": comb.d1,
-            "d2": comb.d2,
-            "terms": [
-                {
-                    "coefficient": _encode_matrix(t),
-                    "factor": channel_to_json(factor),
-                }
-                for t, factor in comb.terms
-            ],
-        }
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        terms = [
+            {"coefficient": _to_json(t), "factor": channel_to_json(factor)}
+            for t, factor in comb.terms
+        ]
+        _save_json({"d1": comb.d1, "d2": comb.d2, "terms": terms}, args.emit)
         doc["emitted"] = args.emit
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -270,16 +249,7 @@ def _cmd_rn(args, tol: Tolerance) -> int:
     form = extract_canonical(phi, tol)
     deriv = rn_derivative(form, psi, tol)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "R": _encode_matrix(deriv.R),
-                    "per_block": [_encode_matrix(m) for m in deriv.per_block],
-                    "residual": deriv.residual,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(_to_json(deriv), indent=2))
     else:
         print("commuting derivative R with Psi = Phi(.) R:")
         print(_indent(_fmt_matrix(deriv.R)))
@@ -293,16 +263,8 @@ def _cmd_arveson(args, tol: Tolerance) -> int:
     deriv = arveson_derivative(phi, psi, tol)
     vals, _ = herm_eig(deriv.T, tol)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "T": _encode_matrix(deriv.T),
-                    "eigenvalues": [float(v) for v in vals],
-                    "residual": deriv.residual,
-                },
-                indent=2,
-            )
-        )
+        doc = {"T": _to_json(deriv.T), "eigenvalues": _to_json(vals), "residual": deriv.residual}
+        print(json.dumps(doc, indent=2))
     else:
         print("coefficient matrix T in the dominating Kraus frame:")
         print(_indent(_fmt_matrix(deriv.T)))
@@ -327,10 +289,7 @@ def _cmd_equiv(args, tol: Tolerance) -> int:
         raise NotExtreme(f"equivalence needs two C*-extreme channels: {exc}") from exc
     check = unitary_equivalent(form_a, form_b, tol)
     if args.json:
-        doc: dict = {"equivalent": check.equivalent}
-        if check.witness_unitary is not None:
-            doc["witness_unitary"] = _encode_matrix(check.witness_unitary)
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_to_json(check), indent=2))
     else:
         print(f"unitarily equivalent: {_yn(check.equivalent)}")
         if check.witness_unitary is not None:
@@ -351,14 +310,10 @@ def _cmd_random(args, tol: Tolerance) -> int:
         ch = random_unital_eb(rng, args.d1, args.d2, n_terms=n_terms, tol=tol)
     else:
         ch = random_cstar_extreme(rng, args.d1, args.d2, n_blocks=args.terms, tol=tol)
-    doc = channel_to_json(ch)
-    text = json.dumps(doc, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        save_channel(ch, args.out)
     else:
-        print(text)
+        print(json.dumps(channel_to_json(ch), indent=2))
     return 0
 
 
@@ -380,7 +335,7 @@ def _cmd_gallery(args, tol: Tolerance) -> int:
                 "name": o.name,
                 "summary": o.summary,
                 "passed": o.passed,
-                "checks": [dataclasses.asdict(c) for c in o.checks],
+                "checks": _to_json(o.checks),
             }
             for o in outcomes
         ]

@@ -13,6 +13,16 @@ the extraction), and computes the derivative-type objects attached to a
 dominated channel: the commuting operator R with Psi = Phi(.)R, the
 coefficient matrix of a CP domination in a fixed Kraus frame, and the
 conjugation witness Ad_Z for dominated channels with invertible barycenter.
+``random_cstar_extreme`` draws channels of that form through ``reconstruct``.
+
+Two thresholds on 1 - |<u, v>| for unit vectors u, v are related. Extraction
+merges two states into one block when it is at most ``_STATE_MATCH`` (1e-9),
+and ``_check_form_invariants`` refuses a form whose blocks share a state by
+the same rule. The generator draws its states at least
+``DISTINCT_STATE_MARGIN`` (1e-6) apart, 1000 times that merge threshold, so
+its blocks never merge (ROADMAP item 11 revisits the merge rule).
+``DISTINCT_STATE_MARGIN`` is importable from this module but is not part of
+the public API, which is the union of the modules' ``__all__`` lists.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from .channel import (
     HolevoEnsemble,
     _apply_stack,
     _channel_range_basis,
+    _check_dims,
     _choi_deviation,
     _commutant_report,
     _is_unital,
@@ -39,6 +50,7 @@ from .channel import (
     to_choi,
 )
 from .errors import (
+    DegenerateDraw,
     DimensionMismatch,
     InternalInconsistency,
     NotCP,
@@ -87,10 +99,14 @@ __all__ = [
     "arveson_derivative",
     "extremality_witness",
     "unitary_equivalent",
+    "random_cstar_extreme",
 ]
 
 # states u, u' are considered the same block when |<u, u'>| >= 1 - this
 _STATE_MATCH = 1e-9
+
+# random_cstar_extreme draws states with |<u, v>| <= 1 - this, 1000 * _STATE_MATCH
+DISTINCT_STATE_MARGIN = 1e-6
 
 # seed of the generic separating combinations in extract_canonical, so the
 # form depends only on the channel and the tolerance
@@ -347,6 +363,51 @@ def reconstruct(form: CanonicalEBForm, label: str | None = None) -> Channel:
         form.d2,
         HolevoEnsemble(form.d1, form.d2, terms),
         label=label,
+    )
+
+
+def random_cstar_extreme(
+    rng: SeededRng,
+    d1: int,
+    d2: int,
+    n_blocks: int | None = None,
+    tol: Tolerance = DEFAULT_TOL,
+) -> Channel:
+    """A random channel of the form X -> sum_i <u_i, X u_i> P_i.
+
+    The P_i are orthogonal projections summing to the identity, built from a
+    Haar-random orthonormal basis partitioned into n_blocks groups, and the
+    u_i are pairwise-distinct random pure states. Channels of this shape are
+    exactly the C*-extreme points of the unital entanglement-breaking maps,
+    so this generator produces certified positives for extremality tests.
+    ``tol`` is never read: states count as distinct by the fixed
+    ``DISTINCT_STATE_MARGIN``. The parameter stays for signature
+    compatibility.
+    """
+    _check_dims(d1, d2)
+    if n_blocks is None:
+        n_blocks = d2
+    if not (1 <= n_blocks <= d2):
+        raise ValueError(f"n_blocks must lie in [1, {d2}], got {n_blocks}")
+    frame = rng.unitary(d2)
+    groups = np.array_split(np.arange(d2), n_blocks)
+    projections = [_sym(frame[:, g] @ frame[:, g].conj().T) for g in groups]
+    states: list[np.ndarray] = []
+    for _ in range(n_blocks):
+        for _attempt in range(20):
+            u = rng.unit_vector(d1)
+            if all(
+                abs(np.vdot(u, v)) <= 1.0 - DISTINCT_STATE_MARGIN for v in states
+            ):
+                states.append(u)
+                break
+        else:
+            raise DegenerateDraw(
+                f"could not draw {n_blocks} pairwise-distinct pure states in C^{d1}"
+            )
+    return reconstruct(
+        CanonicalEBForm(d1, d2, tuple(zip(states, projections))),
+        label=f"random-cstar-extreme(d1={d1}, d2={d2}, blocks={n_blocks})",
     )
 
 

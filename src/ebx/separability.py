@@ -1,4 +1,4 @@
-"""Entanglement-breaking tests, rank bounds, and random channel generators.
+"""Entanglement-breaking tests, rank bounds, and the random unital EB generator.
 
 A channel is entanglement breaking exactly when its Choi matrix is separable,
 which is equivalent to admitting a Holevo (measure-and-prepare) form. Since
@@ -15,8 +15,8 @@ separability itself is hard in general, the verdict here is three valued:
 * otherwise a passed PPT test is definitive ("yes") only when d1*d2 <= 6,
   and "unknown" beyond that window.
 
-``DISTINCT_STATE_MARGIN`` is importable from this module but is not part of
-the public API, which is the union of the modules' ``__all__`` lists.
+The generator of C*-extreme maps lives with their canonical form, in
+``extremality``.
 """
 
 from __future__ import annotations
@@ -46,14 +46,10 @@ __all__ = [
     "eb_verdict",
     "rank_bounds",
     "random_unital_eb",
-    "random_cstar_extreme",
 ]
 
 # PPT decides separability exactly up to this product of dimensions
 PPT_CONCLUSIVE_LIMIT = 6
-
-# pure states are treated as distinct when |<u, v>| stays below 1 minus this
-DISTINCT_STATE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,54 +188,3 @@ def random_unital_eb(
             label=f"random-unital-eb(d1={d1}, d2={d2}, terms={n_terms})",
         )
     raise DegenerateDraw("POVM normalizer stayed numerically singular after 10 draws")
-
-
-def random_cstar_extreme(
-    rng: SeededRng,
-    d1: int,
-    d2: int,
-    n_blocks: int | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> Channel:
-    """A random channel of the form X -> sum_i <u_i, X u_i> P_i.
-
-    The P_i are orthogonal projections summing to the identity, built from a
-    Haar-random orthonormal basis partitioned into n_blocks groups, and the
-    u_i are pairwise-distinct random pure states. Channels of this shape are
-    exactly the C*-extreme points of the unital entanglement-breaking maps,
-    so this generator produces certified positives for extremality tests.
-    ``tol`` is never read: states count as distinct by the fixed
-    ``DISTINCT_STATE_MARGIN``. The parameter stays for signature
-    compatibility.
-    """
-    _check_dims(d1, d2)
-    if n_blocks is None:
-        n_blocks = d2
-    if not (1 <= n_blocks <= d2):
-        raise ValueError(f"n_blocks must lie in [1, {d2}], got {n_blocks}")
-    frame = rng.unitary(d2)
-    groups = np.array_split(np.arange(d2), n_blocks)
-    projections = [frame[:, g] @ frame[:, g].conj().T for g in groups]
-    states: list[np.ndarray] = []
-    for _ in range(n_blocks):
-        for _attempt in range(20):
-            u = rng.unit_vector(d1)
-            if all(
-                abs(np.vdot(u, v)) <= 1.0 - DISTINCT_STATE_MARGIN for v in states
-            ):
-                states.append(u)
-                break
-        else:
-            raise DegenerateDraw(
-                f"could not draw {n_blocks} pairwise-distinct pure states in C^{d1}"
-            )
-    terms = tuple(
-        (np.outer(u, u.conj()), _sym(p))
-        for u, p in zip(states, projections)
-    )
-    return Channel(
-        d1,
-        d2,
-        HolevoEnsemble(d1, d2, terms),
-        label=f"random-cstar-extreme(d1={d1}, d2={d2}, blocks={n_blocks})",
-    )

@@ -6,10 +6,15 @@ label, and a representation object whose "type" is "kraus", "choi", or
 a real number or a two-element [re, im] list. Kraus carries "operators"
 (list of d1 x d2 matrices), Choi carries "matrix" ((d1*d2) square), Holevo
 carries "terms" (list of {"F": d1 x d1, "R": d2 x d2}).
+
+The same scalar and matrix encoding serves every JSON document the CLI
+writes: ``_to_json`` encodes the channel files' matrices and the results
+(dataclasses, arrays, scalars), and ``_save_json`` writes every file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -36,8 +41,22 @@ def _encode_scalar(z: complex) -> Any:
     return [z.real, z.imag]
 
 
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[_encode_scalar(complex(z)) for z in row] for row in np.asarray(m)]
+def _to_json(obj: Any) -> Any:
+    """JSON-ready form of a result: a dataclass becomes its fields in order,
+    leaving out those that are None; an array, tuple or list a list; every
+    array entry, complex or numpy scalar an ``_encode_scalar`` number; bool,
+    str, int and float pass through."""
+    if dataclasses.is_dataclass(obj):
+        fields = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+        return {name: _to_json(v) for name, v in fields if v is not None}
+    if isinstance(obj, np.ndarray):
+        # every entry is encoded as a complex number, whatever the array's dtype
+        obj = np.asarray(obj, dtype=complex).tolist()
+    if isinstance(obj, (tuple, list)):
+        return [_to_json(x) for x in obj]
+    if isinstance(obj, (complex, np.number)):
+        return _encode_scalar(complex(obj))
+    return obj
 
 
 def _decode_scalar(v: Any, where: str) -> complex:
@@ -68,18 +87,13 @@ def channel_to_json(ch: Channel) -> dict:
     """Plain-dict form of a channel, ready for json.dump."""
     rep = ch.representation
     if isinstance(rep, KrausSet):
-        body = {
-            "type": "kraus",
-            "operators": [_encode_matrix(op) for op in rep.operators],
-        }
+        body = {"type": "kraus", "operators": _to_json(rep.operators)}
     elif isinstance(rep, ChoiMatrix):
-        body = {"type": "choi", "matrix": _encode_matrix(rep.matrix)}
+        body = {"type": "choi", "matrix": _to_json(rep.matrix)}
     elif isinstance(rep, HolevoEnsemble):
         body = {
             "type": "holevo",
-            "terms": [
-                {"F": _encode_matrix(f), "R": _encode_matrix(r)} for f, r in rep.terms
-            ],
+            "terms": [{"F": _to_json(f), "R": _to_json(r)} for f, r in rep.terms],
         }
     else:
         raise ParseError(f"unknown representation type {type(rep).__name__}")
@@ -148,10 +162,15 @@ def channel_from_json(doc: Any) -> Channel:
     return ch
 
 
-def save_channel(ch: Channel, path) -> None:
+def _save_json(doc: Any, path) -> None:
+    """Write ``doc`` to ``path`` as UTF-8 JSON, indented by 2, with a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_json(ch), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def save_channel(ch: Channel, path) -> None:
+    _save_json(channel_to_json(ch), path)
 
 
 def load_channel(path) -> Channel:

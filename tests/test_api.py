@@ -277,3 +277,49 @@ def test_every_module_level_import_is_used():
     assert _unused_imports("from .channel import commutant_dimension, to_choi\nto_choi()\n") == [
         "commutant_dimension"
     ]
+
+
+SRC = Path(ebx.__file__).resolve().parent
+
+# each module imports, at module level, only modules of an earlier layer; the
+# package's own names (``from . import __version__``) come from __init__
+LAYERS = (
+    ("errors",),
+    ("linalg", "rng"),
+    ("channel",),
+    ("separability", "serialize"),
+    ("extremality",),
+    ("decomp",),
+    ("__init__",),
+    ("gallery",),
+    ("cli",),
+)
+
+
+def _relative_imports(source: str) -> list[str]:
+    """Modules of the package that a module imports at module level."""
+    targets = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is not None:
+                targets.append(node.module)
+            else:
+                targets.extend(
+                    alias.name if (SRC / f"{alias.name}.py").exists() else "__init__"
+                    for alias in node.names
+                )
+    return targets
+
+
+def test_modules_import_only_earlier_layers():
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    assert sorted(rank) == sorted(path.stem for path in SRC.glob("*.py"))
+    upward = {}
+    for path in sorted(SRC.glob("*.py")):
+        targets = _relative_imports(path.read_text(encoding="utf-8"))
+        if bad := [t for t in targets if rank[t] >= rank[path.stem]]:
+            upward[path.stem] = bad
+    assert upward == {}
+    # a function-local import (a cycle broken at call time) is not counted
+    assert _relative_imports("def f():\n    from .extremality import reconstruct\n") == []
+    assert _relative_imports("from . import __version__, channel\n") == ["__init__", "channel"]

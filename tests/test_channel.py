@@ -448,6 +448,18 @@ def test_fixed_point_examples():
     assert r.is_fixed and r.commutes_with_all_kraus
 
 
+
+def test_fixed_point_disagreement_is_internal_inconsistency(monkeypatch):
+    # a Kraus set that is not the channel's: e_00 is fixed by the map but
+    # does not commute with the swapped operators
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    monkeypatch.setattr("ebx.channel._kraus_ops", lambda c, tol: (swap,))
+    with pytest.raises(
+        InternalInconsistency,
+        match="^fixed-point check disagreement: is_fixed=True, commutes_with_all_kraus=False$",
+    ):
+        fixed_point_check(pinching_mid(), unit(2, 0, 0))
+
 def test_fixed_point_requires_unital_tp_square():
     with pytest.raises(NotUnitalTP):
         fixed_point_check(kraus_channel([np.ones((2, 3)) / 2]), np.eye(2))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ebx import (
+    CStarCombination,
     SeededRng,
     choi_channel,
     compose_ad,
@@ -491,6 +492,24 @@ def test_km_text_output_and_emit(tmp_path, capsys):
     assert main(["km", source, "--json", "--emit", str(emit_json)]) == 0
     assert json.loads(capsys.readouterr().out) == dict(doc, emitted=str(emit_json))
     assert emit_text.read_bytes() == emit_json.read_bytes()
+
+
+
+def test_km_text_output_notes_each_factor_diagnostic(monkeypatch, capsys):
+    # km's own factors are C*-extreme; the pinching's two-term unitary mix
+    # (id + Ad_Z) / 2 has factors that are not, one note each
+    half = np.eye(2) / np.sqrt(2)
+    mix = CStarCombination(
+        2, 2, ((half, identity_channel(2)), (half, kraus_channel([np.diag([1.0, -1.0])])))
+    )
+    monkeypatch.setattr("ebx.cli.km_decompose", lambda ch, tol: mix)
+    text, doc = text_and_json(capsys, "km", "diagonal_pinching.phi.json")
+    assert len(doc["factor_diagnostics"]) == 2
+    assert text[2:] == [
+        "  all factors extreme: no",
+        "  proper combination: yes",
+        *(f"  note: {line}" for line in doc["factor_diagnostics"]),
+    ]
 
 
 # --- random ---

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ebx import (
     CanonicalEBForm,
     DimensionMismatch,
+    InternalInconsistency,
     NotCP,
     NotDominated,
     NotEB,
@@ -52,12 +53,14 @@ from ebx.gallery import (
     tetrahedral_channel,
     two_block_pinching_channel,
 )
-from ebx.channel import _choi_deviation
+from ebx.channel import _channel_range_basis, _choi_deviation
 from ebx import channel, extremality, linalg, separability
 from ebx.extremality import (
     _STATE_MATCH,
     _check_commutative,
     _check_form_invariants,
+    _extract_canonical,
+    _joint_eigenspaces,
     _positive_contraction_eig,
     _same_state,
 )
@@ -360,6 +363,45 @@ def test_structure_violations_are_caught():
         rn_derivative(incomplete, psi)
 
 
+class _ZeroFirstDraws:
+    """A generator whose first ``n_zero`` standard_normal draws are all zeros."""
+
+    def __init__(self, n_zero: int):
+        self.n_zero, self.gen = n_zero, np.random.default_rng(0)
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        if self.n_zero:
+            self.n_zero -= 1
+            return np.zeros(n)
+        return self.gen.standard_normal(n)
+
+
+def test_joint_eigenspaces_retry_a_combination_that_separates_nothing():
+    # a zero combination has one eigenvalue, so it splits nothing and is redrawn
+    mats = np.array([unit(2, 0, 0), unit(2, 1, 1)])
+    spaces = _joint_eigenspaces(mats, _ZeroFirstDraws(7), Tolerance())
+    assert sorted(np.abs(q[:, 0]).argmax() for q in spaces) == [0, 1]
+    with pytest.raises(NotExtreme, match="generic combinations stayed degenerate"):
+        _joint_eigenspaces(mats, _ZeroFirstDraws(8), Tolerance())
+
+
+def test_extraction_refuses_an_unnormalized_induced_state():
+    # X -> 2 <e0, X e0> I pulls every state back to 2 |e0><e0|; the unital
+    # precondition refuses it first, so only the core reaches the trace check
+    ch = holevo_channel([(2 * unit(2, 0, 0), E2)])
+    with pytest.raises(NotUnital):
+        extract_canonical(ch)
+    with pytest.raises(NotExtreme, match="^an induced state is not normalized$"):
+        _extract_canonical(ch, _channel_range_basis(ch, Tolerance()), Tolerance())
+
+
+def test_extraction_refuses_a_form_that_does_not_reproduce_the_channel(monkeypatch):
+    # grouping every joint eigenvector into one block gives <u, . u> I, not the pinching
+    monkeypatch.setattr(extremality, "_same_state", lambda u, v: True)
+    with pytest.raises(NotExtreme, match="canonical form does not reproduce the channel"):
+        extract_canonical(diagonal_pinching_channel())
+
+
 # --- the extremality decision ---
 
 
@@ -405,6 +447,18 @@ def test_rank_criterion_matches_extraction_on_random_draws():
             ch = random_unital_eb(rng, d1, d2, d2 + 2)
             report = is_cstar_extreme(ch)
             assert report.is_cstar_extreme == (report.choi_rank == d2)
+
+
+def test_rank_criterion_and_extraction_disagreeing_is_internal_inconsistency(monkeypatch):
+    def fails(ch, basis, tol):
+        raise NotExtreme("planted failure")
+
+    monkeypatch.setattr(extremality, "_extract_canonical", fails)
+    with pytest.raises(InternalInconsistency, match=r"\(planted failure\) disagree"):
+        is_cstar_extreme(diagonal_pinching_channel())
+    monkeypatch.setattr(extremality, "_extract_canonical", lambda ch, basis, tol: pinching_form())
+    with pytest.raises(InternalInconsistency, match=r"choi_rank=4, d2=2.*\(succeeded\) disagree"):
+        is_cstar_extreme(depolarizing_channel(2))
 
 
 def test_cq_flags():
@@ -556,6 +610,27 @@ def test_rn_derivative_refuses_cross_terms_between_blocks():
         rn_derivative(form, psi)
     with pytest.raises(VerificationFailed, match="Psi\\(I\\) has cross terms"):
         rn_derivative(form, psi, Tolerance(psd_floor=1e-3))
+
+
+def test_rn_derivative_refuses_a_barycenter_that_does_not_commute_with_the_range():
+    # blocks |+><+| and |-><-|; Psi's first output leaks c into the other
+    # block. Each cross term P_i R P_j has entries c / 2, the commutator
+    # [R, P_1] = i c Y entries c, so for 1e-7 < c <= 2e-7 only the last
+    # check, on the commutator, sees the leak; below 1e-7 none does
+    plus, minus = np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)
+    form = CanonicalEBForm(
+        2, 2, ((E2[:, 0], np.outer(plus, plus)), (E2[:, 1], np.outer(minus, minus)))
+    )
+
+    def leaking(c: float):
+        w = np.sqrt(0.5) * plus + c / np.sqrt(0.5) * minus
+        return holevo_channel(
+            [(unit(2, 0, 0), np.outer(w, w)), (unit(2, 1, 1), 0.5 * np.outer(minus, minus))]
+        )
+
+    assert rn_derivative(form, leaking(0.5e-7)).residual <= 1e-7
+    with pytest.raises(VerificationFailed, match="^Psi\\(I\\) does not commute with the range"):
+        rn_derivative(form, leaking(1.5e-7))
 
 
 def test_rn_derivative_checks_cp_before_the_form_and_dims():

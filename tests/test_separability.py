@@ -335,6 +335,32 @@ def test_random_unital_eb_rejects_bad_terms():
         random_unital_eb(SeededRng(0), 2, 2, 0)
 
 
+
+class _SingularFirstDraws:
+    """SeededRng(0), with its first ``n_zero`` psd draws replaced by zeros."""
+
+    def __init__(self, n_zero: int):
+        self.rng, self.n_zero = SeededRng(0), n_zero
+
+    def psd(self, d: int) -> np.ndarray:
+        if self.n_zero:
+            self.n_zero -= 1
+            return np.zeros((d, d), dtype=complex)
+        return self.rng.psd(d)
+
+    def unit_vector(self, d: int) -> np.ndarray:
+        return self.rng.unit_vector(d)
+
+
+def test_random_unital_eb_redraws_a_singular_normalizer():
+    # two terms a draw; a draw of two zeros has a zero normalizer S
+    ch = random_unital_eb(_SingularFirstDraws(18), 2, 2, 2)
+    assert predicates(ch).is_unital
+    with pytest.raises(
+        DegenerateDraw, match="^POVM normalizer stayed numerically singular after 10 draws$"
+    ):
+        random_unital_eb(_SingularFirstDraws(20), 2, 2, 2)
+
 def test_random_cstar_extreme_shape():
     ch = random_cstar_extreme(SeededRng(24), 2, 3)
     p = predicates(ch)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 from ebx import (
     Channel,
     ChoiMatrix,
+    EquivalenceCheck,
+    ExtremalityReport,
+    KrausSet,
     ParseError,
     SeededRng,
     channel_from_json,
@@ -27,6 +31,7 @@ from ebx.gallery import (
     two_block_pinching_channel,
 )
 from ebx.linalg import max_abs
+from ebx.serialize import _to_json
 
 from support import channel_distance
 
@@ -73,6 +78,51 @@ def test_complex_entries_encode_as_pairs():
     assert max_abs(back.representation.operators[0] - op) == 0.0
 
 
+@pytest.mark.parametrize(
+    "dtype, entry, written",
+    [(int, 2, "2.0"), (bool, True, "1.0"), (np.float32, 0.1, "0.10000000149011612")],
+)
+def test_real_and_integer_arrays_encode_as_floats(dtype, entry, written):
+    # an entry is written as the complex number it stands for: never as an
+    # int or a bool, and a float32 entry as its exact double
+    m = np.array([[entry, 0], [0, entry]], dtype=dtype)
+    text = f"[[{written}, 0.0], [0.0, {written}]]"
+    choi = channel_to_json(Channel(1, 2, ChoiMatrix(1, 2, m)))
+    assert json.dumps(choi) == (
+        '{"d1": 1, "d2": 2, "representation": {"type": "choi", "matrix": %s}}' % text
+    )
+    kraus = channel_to_json(Channel(2, 2, KrausSet(2, 2, (m,))))
+    assert json.dumps(kraus["representation"]) == '{"type": "kraus", "operators": [%s]}' % text
+
+
+def test_results_encode_without_none_fields_and_with_json_booleans():
+    report = ExtremalityReport(
+        choi_rank=4,
+        is_cstar_extreme=False,
+        canonical=None,
+        is_cq_linear_extreme_in_ucp=None,
+        is_irreducible=True,
+    )
+    assert json.dumps(_to_json(report)) == (
+        '{"choi_rank": 4, "is_cstar_extreme": false, "is_irreducible": true}'
+    )
+    check = EquivalenceCheck(equivalent=True, witness_unitary=np.array([[0, 1j], [1j, 0]]))
+    assert _to_json(check) == {
+        "equivalent": True,
+        "witness_unitary": [[0.0, [0.0, 1.0]], [[0.0, 1.0], 0.0]],
+    }
+    assert _to_json(EquivalenceCheck(equivalent=False, witness_unitary=None)) == {"equivalent": False}
+    # numpy scalars are numbers; Python ints, bools and strings pass through
+    mixed = (np.float64(0.5), np.int64(3), 3, True, "x")
+    assert json.dumps(_to_json(mixed)) == '[0.5, 3.0, 3, true, "x"]'
+
+
+def test_unknown_representation_is_refused():
+    ch = Channel(2, 2, SimpleNamespace(d1=2, d2=2))
+    with pytest.raises(ParseError, match="^unknown representation type SimpleNamespace$"):
+        channel_to_json(ch)
+
+
 def test_label_is_optional():
     ch = kraus_channel([np.eye(2)])
     doc = channel_to_json(ch)
@@ -113,6 +163,12 @@ def test_boolean_dims_raise_parse_error(dims):
     assert channel_from_json(doc).d1 == 1
     doc["d1"], doc["d2"] = dims
     with pytest.raises(ParseError, match="^d1 and d2 must be positive integers$"):
+        channel_from_json(doc)
+
+
+def test_choi_representation_needs_its_matrix():
+    doc = {"d1": 1, "d2": 1, "representation": {"type": "choi"}}
+    with pytest.raises(ParseError, match="^choi representation needs a 'matrix' field$"):
         channel_from_json(doc)
 
 
