@@ -40,7 +40,7 @@ from .extremality import (
 from .gallery import CASE_NAMES, run_all, run_case
 from .linalg import DEFAULT_TOL, Tolerance, herm_eig, svd_rank
 from .rng import SeededRng
-from .separability import PPT_CONCLUSIVE_LIMIT, eb_verdict, random_unital_eb, rank_bounds
+from .separability import _eb_verdict, random_unital_eb, rank_bounds
 from .serialize import _save_json, _to_json, channel_to_json, load_channel, save_channel
 
 __all__ = ["main"]
@@ -107,7 +107,7 @@ def _build_report(ch: Channel, tol: Tolerance) -> dict:
         report["notes"].append("not completely positive; EB analysis skipped")
         return report
 
-    verdict = eb_verdict(ch, tol)
+    verdict, note = _eb_verdict(ch, tol)
     report["ppt"] = verdict.ppt
     report["eb"] = {
         "is_eb": verdict.is_eb,
@@ -115,20 +115,7 @@ def _build_report(ch: Channel, tol: Tolerance) -> dict:
         "ppt": verdict.ppt,
         "has_certificate": verdict.certificate is not None,
     }
-    if ch.holevo_certificate is not None and verdict.certificate is not None:
-        report["notes"].append("EB certified by an attached measure-and-prepare ensemble")
-    elif verdict.certificate is not None:
-        report["notes"].append("the zero map is EB: it prepares nothing")
-    elif verdict.is_eb == "yes":
-        report["notes"].append(f"PPT conclusive: d1*d2 = {ch.d1 * ch.d2} <= {PPT_CONCLUSIVE_LIMIT}")
-    elif verdict.is_eb == "no":
-        report["notes"].append("fails PPT, which every EB channel must satisfy")
-    else:
-        report["notes"].append(
-            "EB verdict inconclusive: PPT holds but the dimension is outside "
-            "the window where PPT implies separability and no ensemble "
-            "certificate is attached"
-        )
+    report["notes"].append(note)
     if verdict.is_eb == "yes":
         bounds = rank_bounds(ch, tol)
         report["eb_kraus_rank"] = {

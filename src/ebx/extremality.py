@@ -15,12 +15,17 @@ coefficient matrix of a CP domination in a fixed Kraus frame, and the
 conjugation witness Ad_Z for dominated channels with invertible barycenter.
 ``random_cstar_extreme`` draws channels of that form through ``reconstruct``.
 
-Two thresholds on 1 - |<u, v>| for unit vectors u, v are related. Extraction
-merges two states into one block when it is at most ``_STATE_MATCH`` (1e-9),
-and ``_check_form_invariants`` refuses a form whose blocks share a state by
-the same rule. The generator draws its states at least
-``DISTINCT_STATE_MARGIN`` (1e-6) apart, 1000 times that merge threshold, so
-its blocks never merge (ROADMAP item 11 revisits the merge rule).
+One rule decides whether two unit vectors u, v are the same pure state:
+their distance ||u - e^{i phi} v|| at the best phase phi is at most
+``10 * tol.eq_abs``, the bound that extraction checks its form against,
+since merging two states moves the map by about that distance. Extraction
+groups states into blocks by it, ``_check_form_invariants`` refuses a form
+whose blocks share a state by it, and ``unitary_equivalent`` matches blocks
+by it. The joint diagonalization splits eigenvalue clusters at a gap of
+``tol.eq_abs`` times the spectrum's scale, below that bound, so states it
+splits too finely are merged again. The generator draws its states with
+1 - |<u, v>| at least ``DISTINCT_STATE_MARGIN`` (1e-6), a distance of at
+least 1.4e-3, so its blocks never merge while ``tol.eq_abs`` is below 1.4e-4.
 ``DISTINCT_STATE_MARGIN`` is importable from this module but is not part of
 the public API, which is the union of the modules' ``__all__`` lists.
 """
@@ -78,7 +83,7 @@ from .linalg import (
     svd_rank,
 )
 from .rng import SeededRng
-from .separability import EBVerdict, eb_verdict
+from .separability import _NOT_EB, EBVerdict, eb_verdict
 
 __all__ = [
     "CanonicalEBForm",
@@ -102,10 +107,7 @@ __all__ = [
     "random_cstar_extreme",
 ]
 
-# states u, u' are considered the same block when |<u, u'>| >= 1 - this
-_STATE_MATCH = 1e-9
-
-# random_cstar_extreme draws states with |<u, v>| <= 1 - this, 1000 * _STATE_MATCH
+# random_cstar_extreme draws states with |<u, v>| <= 1 - this
 DISTINCT_STATE_MARGIN = 1e-6
 
 # seed of the generic separating combinations in extract_canonical, so the
@@ -113,9 +115,12 @@ DISTINCT_STATE_MARGIN = 1e-6
 _EXTRACTION_SEED = 1729
 
 
-def _same_state(u: np.ndarray, v: np.ndarray) -> bool:
-    """Whether unit vectors u and v are one pure state: |<u, v>| >= 1 - _STATE_MATCH."""
-    return abs(np.vdot(u, v)) >= 1.0 - _STATE_MATCH
+def _same_state(u: np.ndarray, v: np.ndarray, tol: Tolerance) -> bool:
+    """Whether unit vectors u and v are one pure state: ||u - e^{i phi} v|| at
+    the best phase is at most ``10 * tol.eq_abs``. The distance is formed from
+    the vectors, not from 1 - |<u, v>|, which loses it to rounding below 1e-8."""
+    phase = np.exp(1j * np.angle(np.vdot(v, u)))
+    return bool(np.linalg.norm(u - phase * v) <= 10 * tol.eq_abs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +221,7 @@ def _joint_eigenspaces(
         combo = _sym(sum(c * m for c, m in zip(coeffs, mats)))
         vals, vecs = np.linalg.eigh(combo)
         scale = max(1.0, float(np.max(np.abs(vals))))
-        gap = 1e-7 * scale
+        gap = tol.eq_abs * scale
         # cluster adjacent eigenvalues; each cluster spans an invariant subspace
         edges = [0]
         for k in range(1, d):
@@ -319,7 +324,7 @@ def _extract_canonical(ch: Channel, basis: np.ndarray, tol: Tolerance) -> Canoni
     groups: list[tuple[np.ndarray, list[np.ndarray]]] = []
     for u, v in zip(states, vs):
         for gu, members in groups:
-            if _same_state(gu, u):
+            if _same_state(gu, u, tol):
                 members.append(v)
                 break
         else:
@@ -346,7 +351,7 @@ def _check_form_invariants(form: CanonicalEBForm, tol: Tolerance, failure=Struct
             raise failure("block projection is not idempotent")
     for i in range(form.n_blocks):
         for j in range(i + 1, form.n_blocks):
-            if _same_state(form.states[i], form.states[j]):
+            if _same_state(form.states[i], form.states[j], tol):
                 raise failure("two blocks carry the same pure state")
             if max_abs(form.projections[i] @ form.projections[j]) > 100 * tol.eq_abs:
                 raise failure("block projections are not orthogonal")
@@ -513,7 +518,7 @@ def dominates_eb(big: Channel, small: Channel, tol: Tolerance = DEFAULT_TOL) -> 
         return eb_verdict(choi_channel(diff, big.d1, big.d2), tol)
     except NotCP:
         # not CP, so certainly not EB (and in particular not PPT)
-        return EBVerdict(ppt=False, conclusive=True, is_eb="no", certificate=None)
+        return _NOT_EB
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +716,7 @@ def unitary_equivalent(
         for j, (ub, _) in enumerate(b.blocks):
             if j in used:
                 continue
-            if _same_state(ua, ub) and ranks_a[i] == ranks_b[j]:
+            if _same_state(ua, ub, tol) and ranks_a[i] == ranks_b[j]:
                 found = j
                 break
         if found is None:

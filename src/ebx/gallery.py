@@ -72,14 +72,8 @@ class GalleryOutcome:
     channels: dict
 
 
-def _outcome(name: str, summary: str, checks: list[GalleryCheck], channels: dict) -> GalleryOutcome:
-    return GalleryOutcome(
-        name=name,
-        summary=summary,
-        passed=all(c.passed for c in checks),
-        checks=tuple(checks),
-        channels=channels,
-    )
+# what a case returns: its summary, its checks and the channels it emits
+_CaseResult = tuple[str, list[GalleryCheck], dict]
 
 
 def _check(checks: list[GalleryCheck], name: str, cond: bool, detail: str = "") -> None:
@@ -166,7 +160,7 @@ def inflation_channel() -> Channel:
 # ---------------------------------------------------------------------------
 
 
-def _case_averaged_state_domination(tol: Tolerance) -> GalleryOutcome:
+def _case_averaged_state_domination(tol: Tolerance) -> _CaseResult:
     """Averaging dominates a partial-averaging map, but since averaging is
     not C*-extreme the dominated map admits no commuting derivative."""
     phi = depolarizing_channel(2)
@@ -185,15 +179,14 @@ def _case_averaged_state_domination(tol: Tolerance) -> GalleryOutcome:
         _check(checks, "canonical extraction refuses", False, "extraction succeeded")
     except NotExtreme as exc:
         _check(checks, "canonical extraction refuses", True, str(exc))
-    return _outcome(
-        "averaged_state_domination",
+    return (
         "domination without a canonical form",
         checks,
         {"phi": phi, "psi": psi},
     )
 
 
-def _case_cp_not_eb_difference(tol: Tolerance) -> GalleryOutcome:
+def _case_cp_not_eb_difference(tol: Tolerance) -> _CaseResult:
     """A CP-order domination whose difference fails PPT, so the pair is not
     ordered in the EB sense: the two orders genuinely differ."""
     phi = inflation_channel()
@@ -213,15 +206,14 @@ def _case_cp_not_eb_difference(tol: Tolerance) -> GalleryOutcome:
         f"ppt={verdict.ppt}",
     )
     _check(checks, "difference fails PPT", not verdict.ppt)
-    return _outcome(
-        "cp_not_eb_difference",
+    return (
         "CP order is strictly weaker than EB order",
         checks,
         {"phi": phi, "psi": psi},
     )
 
 
-def _case_two_block_pinching(tol: Tolerance) -> GalleryOutcome:
+def _case_two_block_pinching(tol: Tolerance) -> _CaseResult:
     """Canonical form with a rank-2 block, a dominated map built from a
     contraction, its commuting derivative, and the conjugation witness."""
     phi = two_block_pinching_channel()
@@ -259,15 +251,14 @@ def _case_two_block_pinching(tol: Tolerance) -> GalleryOutcome:
         z = extremality_witness(form, psi, tol)
         dev = _choi_deviation(psi, phi, z, z)
         _check(checks, "conjugation witness reproduces psi", dev <= 1e-8, f"dev={dev:.2e}")
-    return _outcome(
-        "two_block_pinching",
+    return (
         "rank-2 block canonical form and its derivatives",
         checks,
         {"phi": phi, "psi": psi},
     )
 
 
-def _case_impure_inflation(tol: Tolerance) -> GalleryOutcome:
+def _case_impure_inflation(tol: Tolerance) -> _CaseResult:
     """A proper C*-convex combination of two C*-extreme channels that is
     not itself C*-extreme: extremity is lost under operator mixing."""
     left = diagonal_pinching_channel()
@@ -287,15 +278,14 @@ def _case_impure_inflation(tol: Tolerance) -> GalleryOutcome:
         "mix is not C*-extreme",
         not is_cstar_extreme(mixed, tol).is_cstar_extreme,
     )
-    return _outcome(
-        "impure_inflation",
+    return (
         "proper mixing of extreme points loses extremity",
         checks,
         {"left": left, "right": right, "mixed": mixed},
     )
 
 
-def _case_tetrahedral(tol: Tolerance) -> GalleryOutcome:
+def _case_tetrahedral(tol: Tolerance) -> _CaseResult:
     """Distinct pure states alone do not give extremity: the tetrahedral
     mix has pairwise distinct states but non-projection effects."""
     phi = tetrahedral_channel()
@@ -314,15 +304,14 @@ def _case_tetrahedral(tol: Tolerance) -> GalleryOutcome:
         "closed form of the action",
         max_abs(apply(phi, x) - expected) <= 1e-12,
     )
-    return _outcome(
-        "tetrahedral",
+    return (
         "distinct states with non-projection effects",
         checks,
         {"phi": phi},
     )
 
 
-def _case_diagonal_pinching(tol: Tolerance) -> GalleryOutcome:
+def _case_diagonal_pinching(tol: Tolerance) -> _CaseResult:
     """The pinching is C*-extreme with orthogonal block states, hence not
     linearly extreme among unital CP maps; it is the midpoint of the
     identity and a unitary conjugation, neither of which is EB."""
@@ -359,15 +348,14 @@ def _case_diagonal_pinching(tol: Tolerance) -> GalleryOutcome:
         "identity factor is not EB",
         eb_verdict(ident, tol).is_eb == "no",
     )
-    return _outcome(
-        "diagonal_pinching",
+    return (
         "an EB extreme point that is a mix of non-EB channels",
         checks,
         {"phi": phi, "midpoint": mid},
     )
 
 
-def _case_depolarizing(tol: Tolerance) -> GalleryOutcome:
+def _case_depolarizing(tol: Tolerance) -> _CaseResult:
     """Full averaging has maximal Choi rank d^2 and needs d^2 Kraus
     operators even as an EB channel; it is never C*-extreme for d > 1."""
     checks: list[GalleryCheck] = []
@@ -388,15 +376,14 @@ def _case_depolarizing(tol: Tolerance) -> GalleryOutcome:
             bounds.eb_rank_lower == d * d and bounds.eb_rank_upper == d * d,
             f"bounds=({bounds.eb_rank_lower}, {bounds.eb_rank_upper})",
         )
-    return _outcome(
-        "depolarizing",
+    return (
         "maximal Choi rank and pinned EB Kraus count",
         checks,
         {"phi2": depolarizing_channel(2), "phi3": depolarizing_channel(3)},
     )
 
 
-def _case_km_reconstruction(tol: Tolerance) -> GalleryOutcome:
+def _case_km_reconstruction(tol: Tolerance) -> _CaseResult:
     """Generic unital EB channels decompose into C*-extreme factors with
     rank-one coefficients; the decomposition reconstructs the channel but
     is never proper for d2 > 1."""
@@ -420,15 +407,14 @@ def _case_km_reconstruction(tol: Tolerance) -> GalleryOutcome:
     form = extract_canonical(comb.terms[0][1], tol)
     eq = unitary_equivalent(form, form, tol)
     _check(checks, "a canonical form is equivalent to itself", eq.equivalent)
-    return _outcome(
-        "km_reconstruction",
+    return (
         "decomposition into extreme factors",
         checks,
         {"phi": phi},
     )
 
 
-_CASES: dict[str, Callable[[Tolerance], GalleryOutcome]] = {
+_CASES: dict[str, Callable[[Tolerance], _CaseResult]] = {
     "averaged_state_domination": _case_averaged_state_domination,
     "cp_not_eb_difference": _case_cp_not_eb_difference,
     "two_block_pinching": _case_two_block_pinching,
@@ -445,8 +431,9 @@ CASE_NAMES: tuple[str, ...] = tuple(_CASES)
 def run_case(name: str, tol: Tolerance = DEFAULT_TOL) -> GalleryOutcome:
     if name not in _CASES:
         raise KeyError(f"unknown gallery case {name!r}; known: {', '.join(CASE_NAMES)}")
-    return _CASES[name](tol)
+    summary, checks, channels = _CASES[name](tol)
+    return GalleryOutcome(name, summary, all(c.passed for c in checks), tuple(checks), channels)
 
 
 def run_all(tol: Tolerance = DEFAULT_TOL) -> list[GalleryOutcome]:
-    return [fn(tol) for fn in _CASES.values()]
+    return [run_case(name, tol) for name in _CASES]

@@ -105,6 +105,8 @@ def herm_eig(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     """``herm_eig``'s phase convention, applied in place to the columns."""
+    if not vecs.size:
+        return vecs
     mask = np.abs(vecs) > 1e-12
     cols = np.flatnonzero(mask.any(axis=0))
     pivots = vecs[mask.argmax(axis=0)[cols], cols]
@@ -140,7 +142,7 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     "no" is read off the spectrum.
     """
     h = _require_hermitian(as_matrix(m), tol)
-    tau = tol.psd_floor * max(1.0, float(np.abs(np.diagonal(h)).max()))
+    tau = tol.psd_floor * max(1.0, float(np.abs(np.diagonal(h)).max(initial=0.0)))
     try:
         np.linalg.cholesky(h + tau * np.eye(len(h)))
         return True
@@ -151,8 +153,8 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
 def _psd_values(vals: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The is_psd decision from a hermitian matrix's eigenvalues, or one
     decision per matrix from the (n, d) eigenvalues of a stack."""
-    scale = np.maximum(np.abs(vals).max(axis=-1), 1.0)
-    return vals.min(axis=-1) >= -tol.psd_floor * scale
+    scale = np.maximum(np.abs(vals).max(axis=-1, initial=0.0), 1.0)
+    return vals.min(axis=-1, initial=0.0) >= -tol.psd_floor * scale
 
 
 def psd_sqrt(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -15,6 +15,8 @@ separability itself is hard in general, the verdict here is three valued:
 * otherwise a passed PPT test is definitive ("yes") only when d1*d2 <= 6,
   and "unknown" beyond that window.
 
+One private core decides the verdict and names the branch that decided it,
+in the note that ``ebx analyze`` prints; ``eb_verdict`` returns its verdict.
 The generator of C*-extreme maps lives with their canonical form, in
 ``extremality``.
 """
@@ -96,7 +98,17 @@ def eb_verdict(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> EBVerdict:
     One psd check of the Choi matrix (NotCP when it fails) and one of its
     partial transpose, whose entries are a permutation of the Choi matrix's:
     the toolkit's one CP/PPT decision, read by ``is_ppt`` and ``dominates_eb``.
+    It is the verdict of ``_eb_verdict``, whose note names the deciding branch.
     """
+    return _eb_verdict(ch, tol)[0]
+
+
+# every EB map is PPT, so failing PPT is a conclusive "no"
+_NOT_EB = EBVerdict(ppt=False, conclusive=True, is_eb="no", certificate=None)
+
+
+def _eb_verdict(ch: Channel, tol: Tolerance) -> tuple[EBVerdict, str]:
+    """``eb_verdict``, and the ``ebx analyze`` note naming the branch that decided it."""
     choi = to_choi(ch).matrix
     try:
         cp = is_psd(choi, tol)
@@ -105,22 +117,25 @@ def eb_verdict(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> EBVerdict:
     if not cp:
         raise NotCP("channel is not completely positive")
     if not is_psd(partial_transpose_choi(choi, ch.d1, ch.d2), tol):
-        # every EB map is PPT, so this overrides any attached ensemble
-        return EBVerdict(ppt=False, conclusive=True, is_eb="no", certificate=None)
+        # this overrides any attached ensemble
+        return _NOT_EB, "fails PPT, which every EB channel must satisfy"
     cert = ch.holevo_certificate
     if cert is not None:
-        return EBVerdict(ppt=True, conclusive=True, is_eb="yes", certificate=cert)
-    if not np.any(choi):
+        note = "EB certified by an attached measure-and-prepare ensemble"
+    elif not np.any(choi):
         # the zero map prepares nothing; certify it with a zero ensemble
-        zero = HolevoEnsemble(
-            ch.d1,
-            ch.d2,
-            ((np.zeros((ch.d1, ch.d1), dtype=complex), np.zeros((ch.d2, ch.d2), dtype=complex)),),
+        zeros = (np.zeros((ch.d1, ch.d1), dtype=complex), np.zeros((ch.d2, ch.d2), dtype=complex))
+        cert = HolevoEnsemble(ch.d1, ch.d2, (zeros,))
+        note = "the zero map is EB: it prepares nothing"
+    elif ch.d1 * ch.d2 <= PPT_CONCLUSIVE_LIMIT:
+        note = f"PPT conclusive: d1*d2 = {ch.d1 * ch.d2} <= {PPT_CONCLUSIVE_LIMIT}"
+    else:
+        return EBVerdict(ppt=True, conclusive=False, is_eb="unknown", certificate=None), (
+            "EB verdict inconclusive: PPT holds but the dimension is outside "
+            "the window where PPT implies separability and no ensemble "
+            "certificate is attached"
         )
-        return EBVerdict(ppt=True, conclusive=True, is_eb="yes", certificate=zero)
-    if ch.d1 * ch.d2 <= PPT_CONCLUSIVE_LIMIT:
-        return EBVerdict(ppt=True, conclusive=True, is_eb="yes", certificate=None)
-    return EBVerdict(ppt=True, conclusive=False, is_eb="unknown", certificate=None)
+    return EBVerdict(ppt=True, conclusive=True, is_eb="yes", certificate=cert), note
 
 
 def rank_bounds(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> RankBounds:

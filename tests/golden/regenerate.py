@@ -2,7 +2,8 @@
 
 Writes the input channel files (``ebx gallery --all --emit``, seeded
 ``ebx random`` draws, four channels that are not EB or whose EB verdict is
-open, and the zero map) to ``inputs/`` and, for each one, the stdout, stderr
+open, the zero map, and a C*-extreme map with two nearly equal block
+states) to ``inputs/`` and, for each one, the stdout, stderr
 and exit code of ``ebx analyze --json`` and ``ebx km --json`` to
 ``outputs/<input stem>.json``. The records of ``rn``, ``arveson``, ``equiv``
 and ``gallery --all`` on those inputs go to ``commands.json``, keyed by
@@ -32,6 +33,7 @@ from ebx import (
     SeededRng,
     channel_from_map,
     choi_channel,
+    holevo_channel,
     identity_channel,
     random_cstar_extreme,
     random_unital_eb,
@@ -64,6 +66,27 @@ def _non_eb_inputs() -> dict:
         "bare_choi.cstar-extreme.3x3.seed1.json": choi_channel(to_choi(extreme).matrix, 3, 3),
         "bare_choi.zero.3x3.json": choi_channel(np.zeros((9, 9)), 3, 3),
     }
+
+
+def close_states_channel(d1: int, d2: int, delta: float):
+    """<u1, . u1> E11 + <u2, . u2> (I - E11) with u1 = e0 and
+    u2 = cos(t) e0 + sin(t) e1, where delta = 1 - |<u1, u2>| = 2 sin(t/2)^2.
+    Returns the channel and the distance ||u1 - u2|| of its two states."""
+    theta = 2.0 * np.arcsin(np.sqrt(delta / 2.0))
+    basis = np.eye(d1, dtype=complex)
+    u1, u2 = basis[0], np.cos(theta) * basis[0] + np.sin(theta) * basis[1]
+    p1 = np.zeros((d2, d2), dtype=complex)
+    p1[0, 0] = 1.0
+    ch = holevo_channel(
+        ((np.outer(u1, u1.conj()), p1), (np.outer(u2, u2.conj()), np.eye(d2) - p1)),
+        label=f"close-states(d1={d1}, d2={d2}, delta={delta:g})",
+    )
+    return ch, float(np.linalg.norm(u1 - u2))
+
+
+# two block states 1.4e-6 apart, far above the same-state bound, though
+# 1 - |<u1, u2>| is only 1e-12
+CLOSE_STATES_INPUT = "close_states.2x2.delta1e-12.json"
 
 
 # the subcommands recorded for every input, each run as `ebx <command> <file> --json`
@@ -147,6 +170,7 @@ def _write_inputs() -> None:
                 raise SystemExit(f"random failed: {result['stderr']}")
     for name, ch in _non_eb_inputs().items():
         save_channel(ch, INPUTS / name)
+    save_channel(close_states_channel(2, 2, 1e-12)[0], INPUTS / CLOSE_STATES_INPUT)
 
 
 def _in_inputs(argvs: list[list[str]]) -> list[dict]:

@@ -269,7 +269,7 @@ def _reference_joint_eigenspaces(mats, gen, eq_abs):
         coeffs = gen.standard_normal(len(mats))
         combo = _sym(sum(c * m for c, m in zip(coeffs, mats)))
         vals, vecs = np.linalg.eigh(combo)
-        gap = 1e-7 * max(1.0, float(np.max(np.abs(vals))))
+        gap = eq_abs * max(1.0, float(np.max(np.abs(vals))))
         edges = [0] + [k for k in range(1, d) if vals[k] - vals[k - 1] > gap] + [d]
         if len(edges) <= 2:
             continue
@@ -309,7 +309,10 @@ def reference_extract_blocks(ch: Channel, tol=DEFAULT_TOL, seed: int = 1729):
     groups = []
     for u, v in pieces:
         for gu, members in groups:
-            if abs(np.vdot(gu, u)) >= 1.0 - 1e-9:
+            # the same-state rule: distance at the best phase within 10 * eq_abs
+            overlap = np.vdot(u, gu)
+            phase = overlap / abs(overlap) if overlap else 1.0
+            if np.linalg.norm(gu - phase * u) <= 10 * tol.eq_abs:
                 members.append(v)
                 break
         else:

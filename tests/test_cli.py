@@ -155,6 +155,43 @@ def test_analyze_ppt_key_on_gallery_channels():
         assert list(report) == [k for k in REPORT_KEYS if k in report], ch.label
 
 
+INCONCLUSIVE_NOTE = (
+    "EB verdict inconclusive: PPT holds but the dimension is outside the window where "
+    "PPT implies separability and no ensemble certificate is attached"
+)
+
+
+@pytest.mark.parametrize(
+    "ch, notes",
+    [
+        (
+            two_block_pinching_channel(),
+            ["EB certified by an attached measure-and-prepare ensemble"],
+        ),
+        (kraus_channel([np.zeros((2, 3))]), ["the zero map is EB: it prepares nothing"]),
+        (diagonal_pinching_channel(), ["PPT conclusive: d1*d2 = 4 <= 6"]),
+        (identity_channel(2), ["fails PPT, which every EB channel must satisfy"]),
+        (
+            choi_channel(to_choi(random_unital_eb(SeededRng(50), 3, 3, 4)).matrix, 3, 3),
+            [INCONCLUSIVE_NOTE],
+        ),
+        (
+            choi_channel(to_choi(random_cstar_extreme(SeededRng(1), 3, 3)).matrix, 3, 3),
+            [
+                INCONCLUSIVE_NOTE,
+                "Choi rank equals the output dimension, so the channel is "
+                "C*-extreme provided it is entanglement breaking",
+            ],
+        ),
+        (channel_from_map(lambda x: x.T, 2, 2), ["not completely positive; EB analysis skipped"]),
+    ],
+    ids=["attached", "zero", "ppt-window", "fails-ppt", "inconclusive", "inconclusive-extreme",
+         "not-cp"],
+)
+def test_analyze_notes_name_the_deciding_branch(ch, notes):
+    assert _build_report(ch, _tolerance(1e-9))["notes"] == notes
+
+
 # --- exit codes ---
 
 

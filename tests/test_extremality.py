@@ -56,7 +56,6 @@ from ebx.gallery import (
 from ebx.channel import _channel_range_basis, _choi_deviation
 from ebx import channel, extremality, linalg, separability
 from ebx.extremality import (
-    _STATE_MATCH,
     _check_commutative,
     _check_form_invariants,
     _extract_canonical,
@@ -66,6 +65,7 @@ from ebx.extremality import (
 )
 from ebx.linalg import _sym, max_abs, psd_sqrt
 
+from golden.regenerate import close_states_channel
 from support import (
     block_adapted_contraction,
     channel_distance,
@@ -397,7 +397,7 @@ def test_extraction_refuses_an_unnormalized_induced_state():
 
 def test_extraction_refuses_a_form_that_does_not_reproduce_the_channel(monkeypatch):
     # grouping every joint eigenvector into one block gives <u, . u> I, not the pinching
-    monkeypatch.setattr(extremality, "_same_state", lambda u, v: True)
+    monkeypatch.setattr(extremality, "_same_state", lambda u, v, tol: True)
     with pytest.raises(NotExtreme, match="canonical form does not reproduce the channel"):
         extract_canonical(diagonal_pinching_channel())
 
@@ -690,23 +690,39 @@ def test_positive_contraction_bounds_and_callers(monkeypatch):
     assert subjects == ["barycenter Psi(I)", "coefficient matrix"]
 
 
-def _overlapping_pair(overlap: float):
-    """Unit vectors u, v in C^2 with |<u, v>| = overlap."""
-    return E2[:, 0], np.array([overlap, np.sqrt(1.0 - overlap**2)], dtype=complex)
+def _pair_at_distance(distance: float):
+    """Unit vectors u, v in C^2 with ||u - e^{i phi} v|| = distance at the best
+    phase, v carrying a phase that the rule must ignore."""
+    theta = 2.0 * np.arcsin(distance / 2.0)
+    return E2[:, 0], np.exp(0.7j) * np.array([np.cos(theta), np.sin(theta)], dtype=complex)
 
 
-def test_same_state_flips_at_the_state_match():
-    assert _same_state(*_overlapping_pair(1.0 - 0.5 * _STATE_MATCH))
-    assert not _same_state(*_overlapping_pair(1.0 - 2.0 * _STATE_MATCH))
-    # through a caller: two blocks of one form are the same state or not
-    for overlap, same in ((1.0 - 0.5 * _STATE_MATCH, True), (1.0 - 2.0 * _STATE_MATCH, False)):
-        u, v = _overlapping_pair(overlap)
+@pytest.mark.parametrize("eq_abs", [1e-9, 1e-6])
+def test_same_state_flips_at_ten_eq_abs(eq_abs):
+    tol = Tolerance(eq_abs=eq_abs)
+    for distance, same in ((5 * eq_abs, True), (20 * eq_abs, False)):
+        u, v = _pair_at_distance(distance)
+        assert _same_state(u, v, tol) is same
+        # through a caller: two blocks of one form are the same state or not
         form = CanonicalEBForm(2, 2, ((u, unit(2, 0, 0)), (v, unit(2, 1, 1))))
         if same:
             with pytest.raises(StructureViolation, match="same pure state"):
-                _check_form_invariants(form, Tolerance())
+                _check_form_invariants(form, tol)
         else:
-            _check_form_invariants(form, Tolerance())
+            _check_form_invariants(form, tol)
+
+
+def test_close_states_split_exactly_above_the_same_state_bound():
+    # delta = 1 - |<u1, u2>| over half decades from 1e-4 to 1e-18, where the
+    # distance of the two states runs from 1.4e-2 down to 1.4e-9
+    for k in range(8, 37):
+        for d1, d2 in ((2, 2), (3, 3), (2, 4)):
+            ch, distance = close_states_channel(d1, d2, 10.0 ** (-k / 2))
+            for form in (ch, choi_channel(to_choi(ch).matrix, d1, d2)):
+                report = is_cstar_extreme(form)
+                assert report.is_cstar_extreme
+                assert report.canonical.n_blocks == (2 if distance > 10 * Tolerance().eq_abs else 1)
+                _assert_extraction_matches_reference(form)
 
 
 def test_domination_factor_chain():

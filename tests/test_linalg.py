@@ -311,3 +311,21 @@ def test_nullspace():
     assert max_abs(n.conj().T @ n - np.eye(2)) <= 1e-12
     assert nullspace(np.eye(3)).shape == (3, 0)
     assert nullspace(np.zeros((2, 4))).shape == (4, 4)
+
+
+@pytest.mark.parametrize(
+    "fn, check",
+    [
+        (as_matrix, lambda r: r.shape == (0, 0)),
+        (max_abs, lambda r: r == 0.0),
+        (herm_eig, lambda r: r[0].shape == (0,) and r[1].shape == (0, 0)),
+        (svd_rank, lambda r: r == 0),
+        (is_psd, lambda r: r is True),
+        (psd_sqrt, lambda r: r.shape == (0, 0)),
+        (pinv, lambda r: r.shape == (0, 0)),
+        (nullspace, lambda r: r.shape == (0, 0)),
+    ],
+    ids=["as_matrix", "max_abs", "herm_eig", "svd_rank", "is_psd", "psd_sqrt", "pinv", "nullspace"],
+)
+def test_public_functions_accept_the_empty_matrix(fn, check):
+    assert check(fn(np.zeros((0, 0))))

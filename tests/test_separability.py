@@ -33,8 +33,16 @@ from ebx import (
     rank_bounds,
     to_choi,
 )
-from ebx.gallery import depolarizing_channel, diagonal_pinching_channel, run_all
+from ebx.extremality import dominates_eb
+from ebx.gallery import (
+    depolarizing_channel,
+    diagonal_pinching_channel,
+    inflation_channel,
+    run_all,
+    two_block_pinching_channel,
+)
 from ebx.linalg import is_psd, max_abs, svd_rank
+from ebx.separability import _NOT_EB, _eb_verdict
 
 from support import pauli_identity_channel
 
@@ -400,3 +408,34 @@ def test_ppt_survives_conjugation():
         ch = random_unital_eb(rng, 2, 3, 3)
         t = rng.complex_normal((3, 3))
         assert is_ppt(compose_ad(t, ch))
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [
+        two_block_pinching_channel(),
+        kraus_channel([np.zeros((2, 3))]),
+        diagonal_pinching_channel(),
+        identity_channel(2),
+        choi_channel(to_choi(random_unital_eb(SeededRng(50), 3, 3, 4)).matrix, 3, 3),
+    ],
+    ids=["attached", "zero", "ppt-window", "fails-ppt", "inconclusive"],
+)
+def test_verdict_is_the_core_verdict(ch):
+    core, note = _eb_verdict(ch, DEFAULT_TOL)
+    verdict = eb_verdict(ch, DEFAULT_TOL)
+    assert isinstance(note, str) and note
+    for field in ("ppt", "conclusive", "is_eb"):
+        assert getattr(core, field) == getattr(verdict, field)
+    if verdict.certificate is None:
+        assert core.certificate is None
+    else:
+        pairs = zip(core.certificate.terms, verdict.certificate.terms, strict=True)
+        for (cf, cr), (vf, vr) in pairs:
+            assert np.array_equal(cf, vf) and np.array_equal(cr, vr)
+
+
+def test_every_no_is_the_one_no_verdict():
+    assert eb_verdict(identity_channel(2)) is _NOT_EB
+    # a difference that is not CP
+    assert dominates_eb(depolarizing_channel(2), inflation_channel()) is _NOT_EB
