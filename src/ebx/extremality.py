@@ -21,13 +21,17 @@ their distance ||u - e^{i phi} v|| at the best phase phi is at most
 since merging two states moves the map by about that distance. Extraction
 groups states into blocks by it, ``_check_form_invariants`` refuses a form
 whose blocks share a state by it, and ``unitary_equivalent`` matches blocks
-by it. The joint diagonalization splits eigenvalue clusters at a gap of
-``tol.eq_abs`` times the spectrum's scale, below that bound, so states it
-splits too finely are merged again. The generator draws its states with
-1 - |<u, v>| at least ``DISTINCT_STATE_MARGIN`` (1e-6), a distance of at
-least 1.4e-3, so its blocks never merge while ``tol.eq_abs`` is below 1.4e-4.
-``DISTINCT_STATE_MARGIN`` is importable from this module but is not part of
-the public API, which is the union of the modules' ``__all__`` lists.
+by it. ``_check_form_invariants`` checks the forms that callers pass in
+(to ``rn_derivative``, ``extremality_witness`` and ``unitary_equivalent``);
+extraction's own form holds its invariants by construction and is proved by
+reconstructing the channel. The joint diagonalization splits eigenvalue
+clusters at a gap of ``tol.eq_abs`` times the spectrum's scale, below that
+bound, so states it splits too finely are merged again. The generator
+draws its states with 1 - |<u, v>| at least ``DISTINCT_STATE_MARGIN``
+(1e-6), a distance of at least 1.4e-3, so its blocks never merge while
+``tol.eq_abs`` is below 1.4e-4. ``DISTINCT_STATE_MARGIN`` is importable from
+this module but is not part of the public API, which is the union of the
+modules' ``__all__`` lists.
 """
 
 from __future__ import annotations
@@ -280,11 +284,15 @@ def extract_canonical(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CanonicalEBF
     form the d1^2 images of a hermitian basis with one ``_apply_stack`` and
     jointly diagonalize that stack, which fixes the form's bits; pull all
     joint eigenvectors v back through the adjoint at once, to the states
-    D = Phi^*(|v><v|), decomposed by one batched ``eigh``: each must be a
-    rank-one density matrix (rank, read off those eigenvalues, then trace,
-    checked eigenvector by eigenvector) and is its top eigenvector; group
-    eigenvectors whose states coincide into blocks; verify the resulting
-    form reproduces the channel. The joint diagonalization draws its
+    D = Phi^*(|v><v|), decomposed by one batched ``eigh``: each must have
+    rank one, read off those eigenvalues, and its state is its top
+    eigenvector; group eigenvectors whose states coincide into blocks;
+    verify the resulting form reproduces the channel. That reconstruction is
+    the only check of the form: its states are unit eigenvectors, its
+    projections sum the outer products of one orthonormal basis, and its
+    groups are split by ``_same_state``, so the form's invariants hold by
+    construction, and the trace of D is <v, Phi(I) v> = 1 by the unital
+    precondition. The joint diagonalization draws its
     combinations from a fixed seed, so the form depends only on ``ch`` and
     ``tol``.
 
@@ -313,11 +321,8 @@ def _extract_canonical(ch: Channel, basis: np.ndarray, tol: Tolerance) -> Canoni
     densities = _sym(_apply_stack(adjoint(ch), vs[:, :, None] * vs.conj()[:, None, :]))
     vals, vecs = np.linalg.eigh(densities)
     ranks = _rank_count(np.abs(vals[:, ::-1]), tol)
-    for density, rank in zip(densities, ranks):
-        if rank != 1:
-            raise NotExtreme("an induced state is not pure (rank > 1)")
-        if abs(np.trace(density) - 1.0) > tol.eq_abs:
-            raise NotExtreme("an induced state is not normalized")
+    if np.any(ranks != 1):
+        raise NotExtreme("an induced state is not pure (rank > 1)")
     # each state u is the top eigenvector, phase-fixed as herm_eig fixes it
     states = _fix_phases(vecs[:, :, -1].T.copy()).T
 
@@ -334,30 +339,29 @@ def _extract_canonical(ch: Channel, basis: np.ndarray, tol: Tolerance) -> Canoni
         for gu, members in groups
     )
     form = CanonicalEBForm(ch.d1, ch.d2, blocks)
-    _check_form_invariants(form, tol, failure=NotExtreme)
     dev = _choi_deviation(ch, reconstruct(form))
     if dev > 10 * tol.eq_abs:
         raise NotExtreme(f"canonical form does not reproduce the channel (dev {dev:.3e})")
     return form
 
 
-def _check_form_invariants(form: CanonicalEBForm, tol: Tolerance, failure=StructureViolation) -> None:
+def _check_form_invariants(form: CanonicalEBForm, tol: Tolerance) -> None:
     for u, p in form.blocks:
         if abs(np.linalg.norm(u) - 1.0) > 10 * tol.eq_abs:
-            raise failure("block state is not a unit vector")
+            raise StructureViolation("block state is not a unit vector")
         if max_abs(p - p.conj().T) > 10 * tol.eq_abs:
-            raise failure("block projection is not hermitian")
+            raise StructureViolation("block projection is not hermitian")
         if max_abs(p @ p - p) > 100 * tol.eq_abs:
-            raise failure("block projection is not idempotent")
+            raise StructureViolation("block projection is not idempotent")
     for i in range(form.n_blocks):
         for j in range(i + 1, form.n_blocks):
             if _same_state(form.states[i], form.states[j], tol):
-                raise failure("two blocks carry the same pure state")
+                raise StructureViolation("two blocks carry the same pure state")
             if max_abs(form.projections[i] @ form.projections[j]) > 100 * tol.eq_abs:
-                raise failure("block projections are not orthogonal")
+                raise StructureViolation("block projections are not orthogonal")
     total = sum(form.projections)
     if max_abs(total - np.eye(form.d2)) > 100 * tol.eq_abs:
-        raise failure("block projections do not sum to the identity")
+        raise StructureViolation("block projections do not sum to the identity")
 
 
 def reconstruct(form: CanonicalEBForm, label: str | None = None) -> Channel:
@@ -562,35 +566,30 @@ def rn_derivative(
 
     For a canonical Phi, any CP map Psi it dominates has the form
     Psi(X) = sum_i <u_i, X u_i> R_i with R_i = P_i R P_i and R = Psi(I) a
-    positive contraction commuting with the range of Phi. All of this is
-    verified; violations raise VerificationFailed. A psi that is not CP
-    raises NotCP before any check of the form or of the dims.
+    positive contraction commuting with the range of Phi. Verified in this
+    order: psi is CP (NotCP); the form's invariants (StructureViolation);
+    the dims (DimensionMismatch); Phi dominates psi (PreconditionDomination);
+    R is a positive contraction; R commutes with every P_i, which also rules
+    out cross terms, since P_i R P_j = P_i [R, P_j] for i != j; and
+    Psi = Phi(.) R entrywise on the Choi matrix. The last three raise
+    VerificationFailed; the contraction check allows the psd floor, the
+    other two ``100 * tol.eq_abs``.
     """
     if not predicates(psi, tol).is_cp:
         raise NotCP("dominated map must be completely positive")
     phi, r = _dominated_barycenter(canonical, psi, tol)
     _positive_contraction_eig(r, "barycenter Psi(I)", tol)
 
-    projections = canonical.projections
-    per_block = tuple(p @ r @ p for p in projections)
-    for i, pi in enumerate(projections):
-        for j, pj in enumerate(projections):
-            if i != j and max_abs(pi @ r @ pj) > 100 * tol.eq_abs:
-                raise VerificationFailed(
-                    "Psi(I) has cross terms between canonical blocks"
-                )
+    for p in canonical.projections:
+        if max_abs(r @ p - p @ r) > 100 * tol.eq_abs:
+            raise VerificationFailed("Psi(I) does not commute with the range of Phi")
 
     residual = _choi_deviation(psi, phi, right=r)
     if residual > 100 * tol.eq_abs:
         raise VerificationFailed(
             f"Psi does not factor as Phi(.) R (residual {residual:.3e})"
         )
-
-    for p in projections:
-        img_comm = max_abs(r @ p - p @ r)
-        if img_comm > 100 * tol.eq_abs:
-            raise VerificationFailed("Psi(I) does not commute with the range of Phi")
-
+    per_block = tuple(p @ r @ p for p in canonical.projections)
     return RNDerivative(R=r, per_block=per_block, residual=float(residual))
 
 
@@ -637,7 +636,8 @@ def arveson_derivative(
     Writing phi with Kraus operators V_1..V_n, any dominated Psi is
     Psi(X) = sum_ij T_ij V_i^* X V_j for a positive contraction T. T is
     recovered by unregularized least squares on the Choi identity
-    C_Psi = W T W^* (W the frame matrix), then symmetrized; eigenvalues are
+    C_Psi = W T W^* (W the frame matrix), then symmetrized; the identity must
+    hold to ``10 * tol.eq_abs * (1 + max_abs(C_Psi))``, eigenvalues are
     clamped to [0, 1] when within the psd floor, and anything worse raises
     VerificationFailed. When phi's Kraus operators are linearly dependent
     the least-squares solution is one valid representative.
@@ -653,7 +653,7 @@ def arveson_derivative(
     w_pinv = pinv(w, tol)
     t = _sym(w_pinv @ c_psi @ w_pinv.conj().T)
     residual = max_abs(w @ t @ w.conj().T - c_psi)
-    if residual > 1e-8 * (1.0 + max_abs(c_psi)):
+    if residual > 10 * tol.eq_abs * (1.0 + max_abs(c_psi)):
         raise VerificationFailed(
             f"Psi is not expressible in phi's Kraus frame (residual {residual:.3e}); "
             "its Kraus span may exceed phi's"

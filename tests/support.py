@@ -25,6 +25,7 @@ from ebx import (
     matrix_units,
     nullspace,
     random_unital_eb,
+    reconstruct,
     svd_rank,
     to_choi,
 )
@@ -154,6 +155,20 @@ def reference_choi_deviation(b: Channel, a: Channel, left=None, right=None) -> f
         float(np.max(np.abs(apply(b, e) - left @ apply(a, e) @ right)))
         for e in matrix_units(a.d1)
     )
+
+
+def reference_rn_deviations(form: CanonicalEBForm, psi: Channel) -> tuple[float, float, float]:
+    """For R = Psi(I): the largest cross term P_i R P_j (i != j), the largest
+    commutator [R, P_i] and the residual of Psi = Phi(.) R, each entrywise.
+    The two-check rule refuses when any of the three exceeds 100 * eq_abs;
+    ``rn_derivative`` bounds only the commutator and the residual, since
+    P_i R P_j = P_i [R, P_j]."""
+    r = _sym(apply(psi, np.eye(form.d1)))
+    ps = form.projections
+    cross = max((float(np.max(np.abs(ps[i] @ r @ ps[j])))
+                 for i in range(len(ps)) for j in range(len(ps)) if i != j), default=0.0)
+    comm = max(float(np.max(np.abs(r @ p - p @ r))) for p in ps)
+    return cross, comm, reference_choi_deviation(psi, reconstruct(form), right=r)
 
 
 def reference_herm_eig(m) -> tuple[np.ndarray, np.ndarray]:

@@ -417,8 +417,13 @@ def test_stinespring_rejects_a_dilation_of_another_map(monkeypatch):
     )
     with pytest.raises(InternalInconsistency) as excinfo:
         stinespring(ch)
-    gram_dev, rep_dev = map(float, re.findall(r"dev ([^,)]+)", str(excinfo.value)))
-    assert gram_dev <= 1e-12 and rep_dev > 1e-3
+    (rep_dev,) = map(float, re.findall(r"representation dev ([^)]+)\)$", str(excinfo.value)))
+    assert rep_dev > 1e-3
+    # the wrong family keeps the gram V^* V = Phi(I), which therefore
+    # could not have caught it
+    ops = [u @ op for op in ch.representation.operators]
+    v = np.stack(ops, axis=1).reshape(-1, 3)
+    assert max_abs(v.conj().T @ v - apply(ch, np.eye(2))) <= 1e-12
 
 
 def test_stinespring_isometry_iff_unital():

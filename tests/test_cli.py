@@ -624,6 +624,17 @@ def test_gallery_single_case_verbose(capsys):
     assert "PASS" in out and "[ok]" in out
 
 
+def test_gallery_failed_check_exits_2(monkeypatch, capsys):
+    # an extraction that succeeds on the averaging map fails the case's last
+    # check; a failed gallery check is exit code 2
+    monkeypatch.setattr("ebx.gallery.extract_canonical", lambda ch, tol: None)
+    assert main(["gallery", "--case", "averaged_state_domination"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  averaged_state_domination: ")
+    assert "        [FAILED] canonical extraction refuses (extraction succeeded)\n" in out
+    assert out.endswith("0/1 cases passed\n")
+
+
 def test_gallery_case_and_all_conflict(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gallery", "--case", "tetrahedral", "--all"])

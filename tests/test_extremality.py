@@ -74,6 +74,7 @@ from support import (
     reference_choi_deviation,
     reference_extract_blocks,
     reference_first_noncommuting,
+    reference_rn_deviations,
     unit,
 )
 
@@ -386,12 +387,15 @@ def test_joint_eigenspaces_retry_a_combination_that_separates_nothing():
 
 
 def test_extraction_refuses_an_unnormalized_induced_state():
-    # X -> 2 <e0, X e0> I pulls every state back to 2 |e0><e0|; the unital
-    # precondition refuses it first, so only the core reaches the trace check
+    # X -> 2 <e0, X e0> I pulls every state back to 2 |e0><e0|, which the
+    # unital precondition refuses first; past it, the core builds the unit
+    # state e0, so the form <e0, . e0> I misses the map by the factor 2
     ch = holevo_channel([(2 * unit(2, 0, 0), E2)])
-    with pytest.raises(NotUnital):
+    with pytest.raises(NotUnital, match="needs a unital channel"):
         extract_canonical(ch)
-    with pytest.raises(NotExtreme, match="^an induced state is not normalized$"):
+    with pytest.raises(
+        NotExtreme, match=r"^canonical form does not reproduce the channel \(dev 1\.000e\+00\)$"
+    ):
         _extract_canonical(ch, _channel_range_basis(ch, Tolerance()), Tolerance())
 
 
@@ -400,6 +404,22 @@ def test_extraction_refuses_a_form_that_does_not_reproduce_the_channel(monkeypat
     monkeypatch.setattr(extremality, "_same_state", lambda u, v, tol: True)
     with pytest.raises(NotExtreme, match="canonical form does not reproduce the channel"):
         extract_canonical(diagonal_pinching_channel())
+
+
+def test_extracted_forms_satisfy_the_form_invariants():
+    # extraction builds its form from one orthonormal eigenbasis and checks
+    # only that the form reproduces the channel; the invariants that
+    # follow from that construction hold on every representation
+    shapes = [(2, 2), (3, 3), (2, 4), (4, 2), (3, 4), (1, 1), (4, 1)]
+    for seed in range(1, 22):
+        d1, d2 = shapes[seed % len(shapes)]
+        ch = random_cstar_extreme(SeededRng(seed), d1, d2)
+        bare = choi_channel(to_choi(ch).matrix, d1, d2)
+        kraus = kraus_channel(holevo_to_kraus(ch.representation).operators)
+        for rep in (ch, bare, kraus):
+            form = extract_canonical(rep)
+            _check_form_invariants(form, Tolerance())
+            assert form.n_blocks == d2 and channel_distance(reconstruct(form), ch) <= 1e-12
 
 
 # --- the extremality decision ---
@@ -601,14 +621,17 @@ def test_rn_derivative_refuses_cross_terms_between_blocks():
     # Psi(X) = (Phi(X) R + R Phi(X)) / 2 with R off-diagonal by 1e-4: at
     # equal tolerances Psi is not CP (the Radon-Nikodym theorem makes a
     # dominated CP map factor through a commuting R); a loose psd floor lets
-    # it reach the cross-term check
+    # it reach the commutation check, which refuses the cross terms
+    # P_i R P_j = P_i [R, P_j] before the factorization is tried
     phi = diagonal_pinching_channel()
     r = np.array([[0.5, 1e-4], [1e-4, 0.5]])
     psi = channel_from_map(lambda x: (apply(phi, x) @ r + r @ apply(phi, x)) / 2, 2, 2)
     form = extract_canonical(phi)
     with pytest.raises(NotCP):
         rn_derivative(form, psi)
-    with pytest.raises(VerificationFailed, match="Psi\\(I\\) has cross terms"):
+    with pytest.raises(
+        VerificationFailed, match="^Psi\\(I\\) does not commute with the range of Phi$"
+    ):
         rn_derivative(form, psi, Tolerance(psd_floor=1e-3))
 
 
@@ -631,6 +654,51 @@ def test_rn_derivative_refuses_a_barycenter_that_does_not_commute_with_the_range
     assert rn_derivative(form, leaking(0.5e-7)).residual <= 1e-7
     with pytest.raises(VerificationFailed, match="^Psi\\(I\\) does not commute with the range"):
         rn_derivative(form, leaking(1.5e-7))
+
+
+def test_rn_derivative_decides_one_commutation_fact():
+    # Psi = Ad_{Z + leak H} Phi for Z = sum c_i P_i, a generic contraction
+    # or I / 2. Past its preconditions, rn_derivative refuses exactly when the
+    # commutator or the residual exceeds 100 eq_abs. The two-check rule also
+    # bounded each cross term P_i R P_j = P_i [R, P_j], whose entries are at
+    # most sqrt(d2) times the commutator's, so the rules differ only where
+    # the commutator lies in (bound / sqrt(d2), bound]
+    shapes = [(2, 2), (3, 3), (2, 4), (4, 2), (3, 4), (4, 3)]
+    tols = [Tolerance(), Tolerance(1e-12, 1e-12, 1e-12)]
+    seen = {"accepted": 0, "refused": 0, "band": 0}
+    for seed in range(1, 41):
+        d1, d2 = shapes[seed % 6]
+        rng = SeededRng(seed)
+        form = extract_canonical(random_cstar_extreme(rng, d1, d2))
+        phi = reconstruct(form)
+        c = 0.3 + 0.6 * rng.generator.random(form.n_blocks)
+        commuting = sum(ci * p for ci, p in zip(c, form.projections))
+        g = rng.complex_normal((d2, d2))
+        h = _sym(rng.complex_normal((d2, d2)))
+        h /= max_abs(h)
+        for z in (commuting, 0.9 * g / np.linalg.norm(g, 2), np.eye(d2) / 2):
+            for leak in (0, 1e-10, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6):
+                psi = compose_ad(z + leak * h, phi)
+                cross, comm, residual = reference_rn_deviations(form, psi)
+                assert cross <= np.sqrt(d2) * comm + 1e-14  # rounding of the products
+                for tol in tols:
+                    bound = 100 * tol.eq_abs
+                    try:
+                        rn_derivative(form, psi, tol)
+                        accepted = True
+                    except PreconditionDomination:
+                        continue
+                    except VerificationFailed as exc:
+                        if "positive contraction" in str(exc):
+                            continue
+                        accepted = False
+                    assert accepted == (comm <= bound and residual <= bound), (seed, leak)
+                    if accepted != (max(cross, comm, residual) <= bound):
+                        assert bound / np.sqrt(d2) < comm <= bound < cross, (seed, leak)
+                        seen["band"] += 1
+                    seen["accepted" if accepted else "refused"] += 1
+    assert seen["accepted"] > 100 and seen["refused"] > 100
+    assert seen["band"] < seen["refused"] / 100
 
 
 def test_rn_derivative_checks_cp_before_the_form_and_dims():
@@ -861,6 +929,20 @@ def test_arveson_refuses_a_dominated_map_outside_the_kraus_span():
         arveson_derivative(phi, psi, Tolerance(psd_floor=1e-3))
 
 
+def test_arveson_residual_bound_follows_eq_abs():
+    # psi = phi / 2 + 1e-6 Ad(E01) leaves phi's Kraus span by a residual of
+    # about 1e-6; the loose psd floor lets it past the domination check, and
+    # the frame bound 10 eq_abs (1 + max_abs(C_psi)) decides
+    e11, e22, e01 = unit(2, 0, 0), unit(2, 1, 1), unit(2, 0, 1)
+    phi = kraus_channel([e11, e22])
+    psi = kraus_channel([np.sqrt(0.5) * e11, np.sqrt(0.5) * e22, 1e-3 * e01])
+    with pytest.raises(VerificationFailed, match="not expressible in phi's Kraus frame"):
+        arveson_derivative(phi, psi, Tolerance(psd_floor=1e-3, eq_abs=1e-9))
+    der = arveson_derivative(phi, psi, Tolerance(psd_floor=1e-3, eq_abs=1e-4))
+    assert 1e-7 < der.residual <= 1e-5
+    assert max_abs(der.T - 0.5 * np.eye(2)) <= 1e-5
+
+
 def test_arveson_requires_domination():
     phi = diagonal_pinching_channel()
     with pytest.raises(PreconditionDomination):
@@ -967,6 +1049,25 @@ def test_equivalence_rejects_different_block_counts():
     a = pinching_form()
     b = CanonicalEBForm(2, 2, ((E2[:, 0], np.eye(2, dtype=complex)),))
     assert not unitary_equivalent(a, b).equivalent
+
+
+def test_equivalence_refuses_a_witness_that_does_not_conjugate(monkeypatch):
+    # with every pair of states matched, the one-block forms (e0, I) and
+    # (e1, I) pass the block matching; the witness U = I then fails to carry
+    # <e0, . e0> I onto <e1, . e1> I, by a deviation of 1
+    deviations = []
+
+    def recorded(*args):
+        deviations.append(_choi_deviation(*args))
+        return deviations[-1]
+
+    monkeypatch.setattr(extremality, "_same_state", lambda u, v, tol: True)
+    monkeypatch.setattr(extremality, "_choi_deviation", recorded)
+    a = CanonicalEBForm(2, 2, ((E2[:, 0], E2),))
+    b = CanonicalEBForm(2, 2, ((E2[:, 1], E2),))
+    check = unitary_equivalent(a, b)
+    assert not check.equivalent and check.witness_unitary is None
+    assert deviations == [1.0]
 
 
 def test_equivalence_dimension_check():
