@@ -291,10 +291,12 @@ def extract_canonical(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> CanonicalEBF
     the only check of the form: its states are unit eigenvectors, its
     projections sum the outer products of one orthonormal basis, and its
     groups are split by ``_same_state``, so the form's invariants hold by
-    construction, and the trace of D is <v, Phi(I) v> = 1 by the unital
-    precondition. The joint diagonalization draws its
-    combinations from a fixed seed, so the form depends only on ``ch`` and
-    ``tol``.
+    construction. The trace of D is not checked: it is <v, Phi(I) v>, and
+    the unital precondition bounds only the entries of Phi(I) - I by
+    ``tol.eq_abs``, so the trace may miss 1 by up to d2 times that; the
+    reconstruction bounds what such a map may differ from its form. The
+    joint diagonalization draws its combinations from a fixed seed, so the
+    form depends only on ``ch`` and ``tol``.
 
     Raises NotExtreme at whichever step fails; for channels that are not
     C*-extreme this is the expected outcome, not an error condition.

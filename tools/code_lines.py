@@ -5,14 +5,13 @@ part of a module, class or function docstring. Blank lines, comment lines and
 docstring lines do not count; a line with code and a trailing comment does.
 Only the standard library is used, so the count runs without numpy.
 
-Usage: python tools/code_lines.py [package_dir]   (default: src/ebx)
+Usage: python tools/code_lines.py
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -54,20 +53,17 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0] if argv else "src/ebx")
-    modules = sorted(package.glob("*.py"))
-    if not modules:
-        print(f"no Python modules in {package}", file=sys.stderr)
-        return 1
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ebx"
+
+
+def main() -> None:
     total = 0
-    for path in modules:
+    for path in sorted(PACKAGE.glob("*.py")):
         n = code_lines(path.read_text(encoding="utf-8"))
         total += n
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
