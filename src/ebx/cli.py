@@ -11,16 +11,21 @@ Subcommands:
   random   generate a seeded random channel file
   gallery  run the built-in worked examples
 
-Exit codes: 0 success, 1 usage error, 2 domain error (bad input data,
-failed preconditions, failed gallery checks).
+Each command prints one document of its results: with --json as JSON,
+otherwise one field per line.
+
+Exit codes: 0 success, 1 usage error or closed stdout, 2 domain error (bad
+input data, failed preconditions, failed gallery checks).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -29,7 +34,6 @@ from .channel import Channel, commutant_dimension, predicates, to_choi
 from .decomp import km_decompose, verify_decomposition
 from .errors import EbxError, NotExtreme, ParseError
 from .extremality import (
-    CanonicalEBForm,
     arveson_derivative,
     extract_canonical,
     is_cstar_extreme,
@@ -67,21 +71,43 @@ def _tolerance(value: float | None) -> Tolerance:
     return Tolerance(rank_rel=value, psd_floor=value, eq_abs=value)
 
 
-def _fmt_matrix(m: np.ndarray) -> str:
-    with np.printoptions(precision=6, suppress=True, linewidth=100):
-        return str(np.asarray(m))
+def _leaf(prefix: str, value) -> str:
+    """``prefix`` and ``value`` as text: a bool as yes/no, an array as numpy
+    prints it, its continuation lines aligned under its first."""
+    if isinstance(value, bool):
+        text = "yes" if value else "no"
+    else:
+        with np.printoptions(precision=6, suppress=True, linewidth=100):
+            text = str(value)
+    return prefix + text.replace("\n", "\n" + " " * len(prefix))
 
 
-def _indent(text: str) -> str:
-    return "\n".join("  " + line for line in text.splitlines())
+def _text_lines(doc, indent: str = "") -> Iterator[str]:
+    """``doc`` one field per line: ``key: value`` for each field of a dict
+    or dataclass whose value is not None; a nested record or a list under
+    its key, indented two spaces, each list item marked ``- ``."""
+    if dataclasses.is_dataclass(doc):
+        doc = {f.name: getattr(doc, f.name) for f in dataclasses.fields(doc)}
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if isinstance(value, (dict, list, tuple)) or dataclasses.is_dataclass(value):
+                yield f"{indent}{key}:"
+                yield from _text_lines(value, indent + "  ")
+            elif value is not None:
+                yield _leaf(f"{indent}{key}: ", value)
+    elif isinstance(doc, (list, tuple)):
+        for item in doc:
+            first, *rest = _text_lines(item, indent + "  ")
+            yield f"{indent}- {first[len(indent) + 2:]}"
+            yield from rest
+    else:
+        yield _leaf(indent, doc)
 
 
-def _canonical_to_json(form: CanonicalEBForm) -> dict:
-    return {
-        "n_blocks": form.n_blocks,
-        "block_ranks": list(form.block_ranks()),
-        "blocks": [{"state": _to_json(u), "projection": _to_json(p)} for u, p in form.blocks],
-    }
+def _emit(doc, as_json: bool) -> None:
+    """Print ``doc`` as indented JSON (``_to_json``) or as ``_text_lines``."""
+    text = json.dumps(_to_json(doc), indent=2) if as_json else "\n".join(_text_lines(doc))
+    print(text, flush=True)  # so that a closed stdout fails in main, not at exit
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +119,11 @@ def _build_report(ch: Channel, tol: Tolerance) -> dict:
     p = predicates(ch, tol)
     report: dict = {
         "version": __version__,
-        "tolerance": _to_json(tol),
+        "tolerance": tol,
         "label": ch.label,
         "d1": ch.d1,
         "d2": ch.d2,
-        "predicates": _to_json(p),
+        "predicates": p,
         "choi_rank": svd_rank(to_choi(ch).matrix, tol),
         "notes": [],
     }
@@ -129,8 +155,13 @@ def _build_report(ch: Channel, tol: Tolerance) -> dict:
             "is_cstar_extreme": ext.is_cstar_extreme,
             "is_irreducible": ext.is_irreducible,
         }
-        if ext.canonical is not None:
-            entry["canonical"] = _canonical_to_json(ext.canonical)
+        form = ext.canonical
+        if form is not None:
+            entry["canonical"] = {
+                "n_blocks": form.n_blocks,
+                "block_ranks": form.block_ranks(),
+                "blocks": [{"state": u, "projection": p} for u, p in form.blocks],
+            }
             entry["is_cq_linear_extreme_in_ucp"] = ext.is_cq_linear_extreme_in_ucp
         report["extremality"] = entry
         if verdict.is_eb == "unknown" and ext.is_cstar_extreme:
@@ -142,55 +173,9 @@ def _build_report(ch: Channel, tol: Tolerance) -> dict:
     return report
 
 
-def _print_report(report: dict) -> None:
-    label = report["label"] or "(unlabeled)"
-    print(f"channel {label}: M{report['d1']} -> M{report['d2']}")
-    p = report["predicates"]
-    print(
-        f"  cp={_yn(p['is_cp'])} unital={_yn(p['is_unital'])} "
-        f"tp={_yn(p['is_tp'])} hermiticity-preserving={_yn(p['is_hermiticity_preserving'])}"
-    )
-    print(f"  choi rank: {report['choi_rank']}")
-    print(f"  ppt: {_yn(report['ppt'])}")
-    if "eb" in report:
-        eb = report["eb"]
-        extra = " (certified)" if eb["has_certificate"] else ""
-        print(f"  entanglement breaking: {eb['is_eb']}{extra}")
-        if "eb_kraus_rank" in report:
-            lo = report["eb_kraus_rank"]["lower"]
-            hi = report["eb_kraus_rank"]["upper"]
-            print(f"  EB Kraus count: between {lo} and {hi}")
-    if "extremality" in report:
-        ext = report["extremality"]
-        print(f"  C*-extreme: {_yn(ext['is_cstar_extreme'])}")
-        print(f"  irreducible range: {_yn(ext['is_irreducible'])}")
-        if "canonical" in ext:
-            canon = ext["canonical"]
-            print(
-                f"  canonical form: {canon['n_blocks']} block(s), "
-                f"ranks {canon['block_ranks']}"
-            )
-            print(
-                "  linearly extreme among unital CP maps: "
-                f"{_yn(ext['is_cq_linear_extreme_in_ucp'])}"
-            )
-    if "commutant_dimension" in report:
-        print(f"  range commutant dimension: {report['commutant_dimension']}")
-    for note in report["notes"]:
-        print(f"  note: {note}")
-
-
-def _yn(v: bool) -> str:
-    return "yes" if v else "no"
-
-
 def _cmd_analyze(args, tol: Tolerance) -> int:
     ch = load_channel(args.channel)
-    report = _build_report(ch, tol)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        _print_report(report)
+    _emit(_build_report(ch, tol), args.json)
     return 0
 
 
@@ -211,17 +196,7 @@ def _cmd_km(args, tol: Tolerance) -> int:
         ]
         _save_json({"d1": comb.d1, "d2": comb.d2, "terms": terms}, args.emit)
         doc["emitted"] = args.emit
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"decomposed into {doc['n_terms']} C*-extreme term(s)")
-        print(f"  reconstruction error: {doc['reconstruction_error']:.3e}")
-        print(f"  all factors extreme: {_yn(doc['all_factors_extreme'])}")
-        print(f"  proper combination: {_yn(doc['proper'])}")
-        for line in doc["factor_diagnostics"]:
-            print(f"  note: {line}")
-        if args.emit:
-            print(f"  wrote terms to {args.emit}")
+    _emit(doc, args.json)
     return 0
 
 
@@ -234,13 +209,7 @@ def _cmd_rn(args, tol: Tolerance) -> int:
     psi = load_channel(args.channel)
     phi = load_channel(args.dominating)
     form = extract_canonical(phi, tol)
-    deriv = rn_derivative(form, psi, tol)
-    if args.json:
-        print(json.dumps(_to_json(deriv), indent=2))
-    else:
-        print("commuting derivative R with Psi = Phi(.) R:")
-        print(_indent(_fmt_matrix(deriv.R)))
-        print(f"  blocks: {form.n_blocks}, factorization residual {deriv.residual:.3e}")
+    _emit(rn_derivative(form, psi, tol), args.json)
     return 0
 
 
@@ -249,15 +218,7 @@ def _cmd_arveson(args, tol: Tolerance) -> int:
     phi = load_channel(args.dominating)
     deriv = arveson_derivative(phi, psi, tol)
     vals, _ = herm_eig(deriv.T, tol)
-    if args.json:
-        doc = {"T": _to_json(deriv.T), "eigenvalues": _to_json(vals), "residual": deriv.residual}
-        print(json.dumps(doc, indent=2))
-    else:
-        print("coefficient matrix T in the dominating Kraus frame:")
-        print(_indent(_fmt_matrix(deriv.T)))
-        with np.printoptions(precision=6, suppress=True):
-            print(f"  eigenvalues: {np.asarray(vals)}")
-        print(f"  residual: {deriv.residual:.3e}")
+    _emit({"T": deriv.T, "eigenvalues": vals, "residual": deriv.residual}, args.json)
     return 0
 
 
@@ -274,14 +235,7 @@ def _cmd_equiv(args, tol: Tolerance) -> int:
         form_b = extract_canonical(b, tol)
     except NotExtreme as exc:
         raise NotExtreme(f"equivalence needs two C*-extreme channels: {exc}") from exc
-    check = unitary_equivalent(form_a, form_b, tol)
-    if args.json:
-        print(json.dumps(_to_json(check), indent=2))
-    else:
-        print(f"unitarily equivalent: {_yn(check.equivalent)}")
-        if check.witness_unitary is not None:
-            print("witness U (second = Ad_U first):")
-            print(_indent(_fmt_matrix(check.witness_unitary)))
+    _emit(unitary_equivalent(form_a, form_b, tol), args.json)
     return 0
 
 
@@ -300,7 +254,7 @@ def _cmd_random(args, tol: Tolerance) -> int:
     if args.out:
         save_channel(ch, args.out)
     else:
-        print(json.dumps(channel_to_json(ch), indent=2))
+        _emit(channel_to_json(ch), as_json=True)
     return 0
 
 
@@ -316,27 +270,14 @@ def _cmd_gallery(args, tol: Tolerance) -> int:
         for outcome in outcomes:
             for key, ch in outcome.channels.items():
                 save_channel(ch, os.path.join(args.emit, f"{outcome.name}.{key}.json"))
-    if args.json:
-        doc = [
-            {
-                "name": o.name,
-                "summary": o.summary,
-                "passed": o.passed,
-                "checks": _to_json(o.checks),
-            }
-            for o in outcomes
-        ]
-        print(json.dumps(doc, indent=2))
-    else:
-        for o in outcomes:
-            print(f"{'PASS' if o.passed else 'FAIL'}  {o.name}: {o.summary}")
-            if args.verbose or not o.passed:
-                for c in o.checks:
-                    mark = "ok" if c.passed else "FAILED"
-                    detail = f" ({c.detail})" if c.detail else ""
-                    print(f"        [{mark}] {c.name}{detail}")
-        n_pass = sum(o.passed for o in outcomes)
-        print(f"{n_pass}/{len(outcomes)} cases passed")
+    # text mode shows the checks of a passed case only with -v
+    show = args.json or args.verbose
+    doc = [
+        {"name": o.name, "summary": o.summary, "passed": o.passed,
+         "checks": o.checks if show or not o.passed else None}
+        for o in outcomes
+    ]
+    _emit(doc, args.json)
     return 0 if all(o.passed for o in outcomes) else 2
 
 
@@ -425,14 +366,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, _tolerance(args.tol))
-    except (ParseError, OSError) as exc:
-        # bad files and bad paths are usage-level failures
-        print(f"ebx: error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # stdout was closed: stop quietly, and send what is still buffered
+        # to devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (EbxError, ValueError) as exc:
-        # ValueError covers out-of-range tolerances and generator arguments
+    except (EbxError, OSError, ValueError) as exc:
+        # bad files and bad paths are usage-level failures; ValueError
+        # covers out-of-range tolerances and generator arguments
         print(f"ebx: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (ParseError, OSError)) else 2
 
 
 if __name__ == "__main__":

@@ -147,7 +147,10 @@ def rank_bounds(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> RankBounds:
     the eigenvalues above ``tol.rank_rel`` times the member's largest and
     above zero, and a bad member raises what ``holevo_to_kraus`` raises.
     Otherwise it is the generic (d1*d2)^2 cap. For a unital channel whose
-    Choi rank equals d2 the two bounds collapse to d2 exactly.
+    Choi rank equals d2 the two bounds are d2, decided before the
+    certificate is read: a PPT state of rank d2, the rank of its marginal,
+    is separable, so such a channel is C*-extreme with d2 rank-one Kraus
+    operators.
     """
     verdict = eb_verdict(ch, tol)
     if verdict.is_eb != "yes":
@@ -156,16 +159,16 @@ def rank_bounds(ch: Channel, tol: Tolerance = DEFAULT_TOL) -> RankBounds:
             f"(verdict: {verdict.is_eb})"
         )
     choi_rank = svd_rank(to_choi(ch).matrix, tol)
-    lower = choi_rank
-    if verdict.certificate is not None:
+    if choi_rank == ch.d2 and _is_unital(ch, tol):
+        # C*-extreme: d2 rank-one Kraus operators, whatever the certificate
+        upper = ch.d2
+    elif verdict.certificate is not None:
         (_, _, f_keep), (_, _, r_keep) = _psd_spectra(*zip(*verdict.certificate.terms), tol=tol)
         upper = max(int(np.count_nonzero(f_keep, axis=1) @ np.count_nonzero(r_keep, axis=1)), 1)
     else:
         upper = (ch.d1 * ch.d2) ** 2
-    if choi_rank == ch.d2 and _is_unital(ch, tol):
-        lower = upper = ch.d2
     return RankBounds(
-        choi_rank=choi_rank, eb_rank_lower=lower, eb_rank_upper=max(upper, lower)
+        choi_rank=choi_rank, eb_rank_lower=choi_rank, eb_rank_upper=max(upper, choi_rank)
     )
 
 

@@ -43,12 +43,14 @@ def _encode_scalar(z: complex) -> Any:
 
 def _to_json(obj: Any) -> Any:
     """JSON-ready form of a result: a dataclass becomes its fields in order,
-    leaving out those that are None; an array, tuple or list a list; every
-    array entry, complex or numpy scalar an ``_encode_scalar`` number; bool,
-    str, int and float pass through."""
+    leaving out those that are None, and a dict its items; an array, tuple
+    or list a list; every array entry, complex or numpy scalar an
+    ``_encode_scalar`` number; bool, str, int, float and None pass through."""
     if dataclasses.is_dataclass(obj):
         fields = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
         return {name: _to_json(v) for name, v in fields if v is not None}
+    if isinstance(obj, dict):
+        return {key: _to_json(v) for key, v in obj.items()}
     if isinstance(obj, np.ndarray):
         # every entry is encoded as a complex number, whatever the array's dtype
         obj = np.asarray(obj, dtype=complex).tolist()

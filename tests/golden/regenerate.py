@@ -2,8 +2,9 @@
 
 Writes the input channel files (``ebx gallery --all --emit``, seeded
 ``ebx random`` draws, four channels that are not EB or whose EB verdict is
-open, the zero map, and a C*-extreme map with two nearly equal block
-states) to ``inputs/`` and, for each one, the stdout, stderr
+open, the zero map, a C*-extreme map with two nearly equal block states,
+and the diagonal pinching written with a negated Holevo term) to
+``inputs/`` and, for each one, the stdout, stderr
 and exit code of ``ebx analyze --json`` and ``ebx km --json`` to
 ``outputs/<input stem>.json``. The records of ``rn``, ``arveson``, ``equiv``
 and ``gallery --all`` on those inputs go to ``commands.json``, keyed by
@@ -89,6 +90,17 @@ def close_states_channel(d1: int, d2: int, delta: float):
 CLOSE_STATES_INPUT = "close_states.2x2.delta1e-12.json"
 
 
+def negated_term_pinching_channel():
+    """The diagonal pinching as the Holevo terms (-E11, -E11), (E22, E22): a
+    C*-extreme map, from an ensemble that is not psd. analyze bounds its EB
+    Kraus count without reading the ensemble; km refuses it (exit 2)."""
+    e11, e22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return holevo_channel(((-e11, -e11), (e22, e22)), label="negated-term-pinching")
+
+
+NEGATED_TERM_INPUT = "negated_term_pinching.2x2.json"
+
+
 # the subcommands recorded for every input, each run as `ebx <command> <file> --json`
 COMMANDS = ("analyze", "km")
 
@@ -171,6 +183,7 @@ def _write_inputs() -> None:
     for name, ch in _non_eb_inputs().items():
         save_channel(ch, INPUTS / name)
     save_channel(close_states_channel(2, 2, 1e-12)[0], INPUTS / CLOSE_STATES_INPUT)
+    save_channel(negated_term_pinching_channel(), INPUTS / NEGATED_TERM_INPUT)
 
 
 def _in_inputs(argvs: list[list[str]]) -> list[dict]:

@@ -24,7 +24,8 @@ from ebx import (
     to_choi,
 )
 from ebx.channel import channel_from_map, identity_channel
-from ebx.cli import _build_report, _tolerance, main
+from ebx.cli import _build_report, _emit, _tolerance, main
+from ebx.extremality import EquivalenceCheck
 from ebx.gallery import (
     CASE_NAMES,
     diagonal_pinching_channel,
@@ -55,14 +56,6 @@ def decode(rows):
 
 
 # --- analyze ---
-
-
-def test_analyze_human_output(pinching_file, capsys):
-    assert main(["analyze", pinching_file]) == 0
-    out = capsys.readouterr().out
-    assert "M2 -> M2" in out
-    assert "C*-extreme: yes" in out
-    assert "entanglement breaking: yes" in out
 
 
 def test_analyze_json_report(pinching_file, capsys):
@@ -256,13 +249,13 @@ MALFORMED_FILES = {
 }
 
 
-def run_ebx_subprocess(*argv, python_flags=()):
+def run_ebx_subprocess(*argv, python_flags=(), stdout=subprocess.PIPE):
     """``python -m ebx.cli argv`` in a child process, importing ``src/``."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "ebx.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
     )
 
 
@@ -447,7 +440,46 @@ def test_equiv_needs_extreme_inputs(tmp_path, capsys):
     assert "C*-extreme" in capsys.readouterr().err
 
 
-# --- text output of km, rn, arveson and equiv ---
+# --- text mode ---
+
+
+def test_text_mode_rendering_rules(capsys):
+    doc = {
+        "count": 3,
+        "ratio": 0.25,
+        "flag": True,
+        "absent": None,
+        "check": EquivalenceCheck(equivalent=False, witness_unitary=None),
+        "notes": ["first", "second: with a colon"],
+        "records": [{"name": "a", "ok": False, "shape": (1, 2)}, {"name": "b", "ok": True}],
+        "matrix": np.array([[1.0, 0.5j], [1e-9, 1 / 3]]),
+        "vector": np.array([0.5, 2.0]),
+    }
+    _emit(doc, as_json=False)
+    assert capsys.readouterr().out == (
+        "count: 3\n"
+        "ratio: 0.25\n"
+        "flag: yes\n"
+        "check:\n"
+        "  equivalent: no\n"
+        "notes:\n"
+        "  - first\n"
+        "  - second: with a colon\n"
+        "records:\n"
+        "  - name: a\n"
+        "    ok: no\n"
+        "    shape:\n"
+        "      - 1\n"
+        "      - 2\n"
+        "  - name: b\n"
+        "    ok: yes\n"
+        "matrix: [[1.      +0.j  0.      +0.5j]\n"
+        "         [0.      +0.j  0.333333+0.j ]]\n"
+        "vector: [0.5 2. ]\n"
+    )
+    _emit(doc, as_json=True)
+    assert json.loads(capsys.readouterr().out)["check"] == {"equivalent": False}
+
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -457,14 +489,60 @@ def _numbers(lines) -> list[float]:
     return [float(x) for line in lines for x in _NUMBER.findall(line)]
 
 
-def _entries(rows) -> list[float]:
-    """A JSON matrix as it prints: real and imaginary part of each entry."""
-    return [x for z in decode(rows).ravel() for x in (z.real, z.imag)]
+def _entries(rows, ndim: int) -> list[float]:
+    """A JSON array of ``ndim`` dimensions as it prints: real and imaginary
+    part of each entry."""
+    if ndim == 0:
+        z = complex(*rows) if isinstance(rows, list) else complex(rows)
+        return [z.real, z.imag]
+    return [x for row in rows for x in _entries(row, ndim - 1)]
 
 
 def assert_close(got, want):
     assert len(got) == len(want)
     assert max((abs(g - w) for g, w in zip(got, want)), default=0.0) <= 1e-6
+
+
+def _is_array(value) -> bool:
+    # the encoder writes every array entry as a float or an [re, im] pair
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(x, (float, list)) for x in value
+    )
+
+
+def _json_leaves(doc) -> list[tuple]:
+    """(key, value) in the order text mode prints a --json document: key
+    None for a list item, value None for a record or list under its key;
+    null fields print nothing."""
+    items = doc.items() if isinstance(doc, dict) else ((None, x) for x in doc)
+    leaves = []
+    for key, value in items:
+        if isinstance(value, (dict, list)) and not _is_array(value):
+            if key is not None:
+                leaves.append((key, None))
+            leaves.extend(_json_leaves(value))
+        elif value is not None:
+            leaves.append((key, value))
+    return leaves
+
+
+def _text_leaves(lines) -> list[tuple]:
+    """(key, text) of each line text mode prints, as ``_json_leaves``: an
+    array's continuation lines joined to its first."""
+    leaves = []
+    for line in lines:
+        body = re.sub(r"^ *(- )*", "", line)
+        last = leaves[-1][1] if leaves else None
+        if last is not None and last.count("[") > last.count("]"):
+            leaves[-1] = (leaves[-1][0], f"{last} {body}")
+        elif re.fullmatch(r"\w+:", body):
+            leaves.append((body[:-1], None))
+        elif re.match(r"\w+: ", body):
+            key, text = body.split(": ", 1)
+            leaves.append((key, text))
+        else:
+            leaves.append((None, body))
+    return leaves
 
 
 def text_and_json(capsys, *argv):
@@ -476,65 +554,79 @@ def text_and_json(capsys, *argv):
     return text, json.loads(capsys.readouterr().out)
 
 
+def assert_text_is_the_document(text, doc) -> None:
+    got, want = _text_leaves(text), _json_leaves(doc)
+    assert [key for key, _ in got] == [key for key, _ in want]
+    for (key, shown), (_, value) in zip(got, want):
+        if value is None or isinstance(value, str):
+            assert shown == value, key
+        elif isinstance(value, bool):
+            assert shown == ("yes" if value else "no"), key
+        elif isinstance(value, list):
+            entries = _entries(value, len(shown) - len(shown.lstrip("[")))
+            # numpy prints a real array without imaginary parts
+            assert_close(_numbers([shown]), entries if "j" in shown else entries[::2])
+        else:
+            assert_close(_numbers([shown]), [value])
+
+
 @pytest.mark.parametrize(
-    "psi, phi",
+    "argv",
     [
-        ("two_block_pinching.psi.json", "two_block_pinching.phi.json"),
-        ("random.cstar-extreme.3x3.seed1.json", "random.cstar-extreme.3x3.seed1.json"),
+        *((command, path.name) for path in sorted(GOLDEN_INPUTS.glob("*.json"))
+          for command in ("analyze", "km")),
+        ("arveson", "averaged_state_domination.psi.json",
+         "--dominating", "impure_inflation.mixed.json"),
+        ("equiv", "diagonal_pinching.phi.json", "diagonal_pinching.midpoint.json"),
+        ("gallery", "--all", "-v"),
     ],
+    ids=" ".join,
 )
-def test_rn_text_output(capsys, psi, phi):
-    text, doc = text_and_json(capsys, "rn", psi, "--dominating", phi)
-    assert text[0] == "commuting derivative R with Psi = Phi(.) R:"
-    assert_close(_numbers(text[1:-1]), _entries(doc["R"]))
-    assert text[-1].startswith("  blocks: ")
-    assert_close(_numbers(text[-1:]), [len(doc["per_block"]), doc["residual"]])
+def test_text_mode_prints_every_leaf_of_the_json_document(capsys, argv):
+    # km refuses (exit 2, no output) the inputs without a psd ensemble
+    argv = [str(GOLDEN_INPUTS / a) if a.endswith(".json") else a for a in argv]
+    code = main(argv)
+    text = capsys.readouterr().out
+    assert main([*argv, "--json"]) == code
+    out = capsys.readouterr().out
+    if code != 0:
+        assert (code, text, out) == (2, "", "")
+    else:
+        assert_text_is_the_document(text.splitlines(), json.loads(out))
 
 
-def test_arveson_text_output(capsys):
+def test_rn_text_mode_prints_each_block_piece_as_a_list_item(capsys):
+    # a list of matrices encodes like a 3-d array, so the leaf walk above
+    # cannot tell per_block's items apart
     text, doc = text_and_json(
-        capsys, "arveson", "averaged_state_domination.psi.json",
-        "--dominating", "impure_inflation.mixed.json",
+        capsys, "rn", "two_block_pinching.psi.json", "--dominating", "two_block_pinching.phi.json"
     )
-    assert text[0] == "coefficient matrix T in the dominating Kraus frame:"
-    assert text[-2].startswith("  eigenvalues: [") and text[-1].startswith("  residual: ")
-    assert_close(_numbers(text[1:-2]), _entries(doc["T"]))
-    assert_close(_numbers(text[-2:]), [*doc["eigenvalues"], doc["residual"]])
+    assert [line.split(":")[0] for line in text if line[0] != " "] == ["R", "per_block", "residual"]
+    assert sum(line.startswith("  - [[") for line in text) == len(doc["per_block"]) == 2
+    want = [x for m in (doc["R"], *doc["per_block"]) for x in _entries(m, 2)]
+    assert_close(_numbers(text), [*want, doc["residual"]])
 
 
-def test_equiv_text_output(capsys):
-    text, doc = text_and_json(
-        capsys, "equiv", "diagonal_pinching.phi.json", "diagonal_pinching.midpoint.json"
-    )
-    assert text[:2] == ["unitarily equivalent: yes", "witness U (second = Ad_U first):"]
-    assert_close(_numbers(text[2:]), _entries(doc["witness_unitary"]))
+def test_equiv_without_witness_prints_one_line(capsys):
     text, doc = text_and_json(
         capsys, "equiv", "diagonal_pinching.phi.json", "random.cstar-extreme.2x2.seed1.json"
     )
-    assert (text, doc) == (["unitarily equivalent: no"], {"equivalent": False})
+    assert (text, doc) == (["equivalent: no"], {"equivalent": False})
 
 
-def test_km_text_output_and_emit(tmp_path, capsys):
-    text, doc = text_and_json(capsys, "km", "random.povm-ensemble.2x2.seed1.json")
-    assert text[0] == f"decomposed into {doc['n_terms']} C*-extreme term(s)"
-    assert text[1].startswith("  reconstruction error: ")
-    assert_close(_numbers(text[1:2]), [doc["reconstruction_error"]])
-    assert text[2:] == ["  all factors extreme: yes", "  proper combination: no"]
-    assert (doc["all_factors_extreme"], doc["proper"], doc["factor_diagnostics"]) == (True, False, [])
-
+def test_km_emit_writes_the_same_file_in_text_and_json_mode(tmp_path, capsys):
     source = str(GOLDEN_INPUTS / "random.povm-ensemble.2x2.seed1.json")
     emit_text, emit_json = tmp_path / "text.json", tmp_path / "json.json"
     assert main(["km", source, "--emit", str(emit_text)]) == 0
-    assert capsys.readouterr().out.splitlines() == [*text, f"  wrote terms to {emit_text}"]
+    assert capsys.readouterr().out.splitlines()[-1] == f"emitted: {emit_text}"
     assert main(["km", source, "--json", "--emit", str(emit_json)]) == 0
-    assert json.loads(capsys.readouterr().out) == dict(doc, emitted=str(emit_json))
+    assert json.loads(capsys.readouterr().out)["emitted"] == str(emit_json)
     assert emit_text.read_bytes() == emit_json.read_bytes()
 
 
-
-def test_km_text_output_notes_each_factor_diagnostic(monkeypatch, capsys):
+def test_km_text_mode_prints_each_factor_diagnostic_on_its_own_line(monkeypatch, capsys):
     # km's own factors are C*-extreme; the pinching's two-term unitary mix
-    # (id + Ad_Z) / 2 has factors that are not, one note each
+    # (id + Ad_Z) / 2 has factors that are not, one diagnostic each
     half = np.eye(2) / np.sqrt(2)
     mix = CStarCombination(
         2, 2, ((half, identity_channel(2)), (half, kraus_channel([np.diag([1.0, -1.0])])))
@@ -543,10 +635,29 @@ def test_km_text_output_notes_each_factor_diagnostic(monkeypatch, capsys):
     text, doc = text_and_json(capsys, "km", "diagonal_pinching.phi.json")
     assert len(doc["factor_diagnostics"]) == 2
     assert text[2:] == [
-        "  all factors extreme: no",
-        "  proper combination: yes",
-        *(f"  note: {line}" for line in doc["factor_diagnostics"]),
+        "all_factors_extreme: no",
+        "proper: yes",
+        "factor_diagnostics:",
+        *(f"  - {line}" for line in doc["factor_diagnostics"]),
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gallery", "-v"),
+        ("analyze", "--json", str(GOLDEN_INPUTS / "diagonal_pinching.phi.json")),
+    ],
+)
+def test_closed_stdout_exits_1_quietly_in_a_subprocess(argv):
+    # the pipe's read end is closed before the child writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_ebx_subprocess(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 # --- random ---
@@ -618,21 +729,30 @@ def test_gallery_all_passes(capsys):
     assert all(case["passed"] for case in doc)
 
 
-def test_gallery_single_case_verbose(capsys):
+def test_gallery_text_mode_shows_checks_with_verbose(capsys):
+    assert main(["gallery", "--case", "two_block_pinching"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert text[0] == "- name: two_block_pinching"
+    assert text[2:] == ["  passed: yes"]
     assert main(["gallery", "--case", "two_block_pinching", "-v"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "[ok]" in out
+    text = capsys.readouterr().out.splitlines()
+    assert text[3:5] == ["  checks:", "    - name: channel is C*-extreme"]
 
 
 def test_gallery_failed_check_exits_2(monkeypatch, capsys):
     # an extraction that succeeds on the averaging map fails the case's last
-    # check; a failed gallery check is exit code 2
+    # check; a failed gallery check is exit code 2, and text mode shows the
+    # checks of a failed case without -v
     monkeypatch.setattr("ebx.gallery.extract_canonical", lambda ch, tol: None)
     assert main(["gallery", "--case", "averaged_state_domination"]) == 2
     out = capsys.readouterr().out
-    assert out.startswith("FAIL  averaged_state_domination: ")
-    assert "        [FAILED] canonical extraction refuses (extraction succeeded)\n" in out
-    assert out.endswith("0/1 cases passed\n")
+    assert out.startswith("- name: averaged_state_domination\n")
+    assert "  passed: no\n  checks:\n" in out
+    assert out.endswith(
+        "    - name: canonical extraction refuses\n"
+        "      passed: no\n"
+        "      detail: extraction succeeded\n"
+    )
 
 
 def test_gallery_case_and_all_conflict(capsys):

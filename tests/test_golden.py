@@ -86,7 +86,7 @@ def assert_record_matches(got: dict, want: dict, gallery: bool = False) -> None:
 
 
 def test_golden_inputs_cover_gallery_and_random_files():
-    assert len(NAMES) == 29
+    assert len(NAMES) == 30
     assert sorted(p.name for p in OUTPUTS.glob("*.json")) == NAMES
 
 

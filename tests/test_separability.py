@@ -44,6 +44,7 @@ from ebx.gallery import (
 from ebx.linalg import is_psd, max_abs, svd_rank
 from ebx.separability import _NOT_EB, _eb_verdict
 
+from golden.regenerate import negated_term_pinching_channel
 from support import pauli_identity_channel
 
 
@@ -229,6 +230,16 @@ def test_rank_bounds_collapse_for_extreme_shape():
     b = rank_bounds(diagonal_pinching_channel())
     assert b.choi_rank == 2
     assert b.eb_rank_lower == b.eb_rank_upper == 2
+
+
+def test_rank_bounds_decide_the_extreme_case_before_the_certificate():
+    # the pinching written with a negated Holevo term: the bounds are d2
+    # without refining the ensemble that is not psd, which km still refuses
+    ch = negated_term_pinching_channel()
+    b = rank_bounds(ch)
+    assert (b.choi_rank, b.eb_rank_lower, b.eb_rank_upper) == (2, 2, 2)
+    with pytest.raises(NotPSD):
+        km_decompose(ch)
 
 
 @pytest.mark.parametrize("d", [2, 3])
