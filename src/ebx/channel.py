@@ -259,14 +259,9 @@ def holevo_channel(terms, label: str | None = None) -> Channel:
 
 
 def matrix_units(d: int) -> list[np.ndarray]:
-    """All d*d matrix units E_ij in row-major order."""
-    units = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
+    """All d*d matrix units E_ij in row-major order: row i*d + j of the
+    identity on C^(d*d) is E_ij."""
+    return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:

@@ -133,11 +133,20 @@ class CanonicalEBForm:
 
     States are unit vectors in C^d1, pairwise distinct as pure states;
     projections are mutually orthogonal and sum to the d2 x d2 identity.
+    The shapes are checked at construction, which raises DimensionMismatch
+    unless the dims are positive ints, each state has d1 entries and each
+    projection is d2 x d2; the other invariants are checked by the functions
+    that take a form (``_check_form_invariants``).
     """
 
     d1: int
     d2: int
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self) -> None:
+        _check_dims(self.d1, self.d2)
+        if any(np.size(u) != self.d1 or np.shape(p) != (self.d2, self.d2) for u, p in self.blocks):
+            raise DimensionMismatch(f"block shapes do not match d1={self.d1}, d2={self.d2}")
 
     @property
     def n_blocks(self) -> int:
@@ -213,8 +222,6 @@ def _joint_eigenspaces(
     (n, d, d) stack of hermitian matrices, by generic random combinations
     with recursive refinement of degenerate clusters."""
     d = mats.shape[1]
-    if d == 1:
-        return [np.eye(1, dtype=complex)]
     scalars = (np.trace(mats, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
     dev = np.abs(mats - scalars).max(axis=(1, 2))
     if np.all(dev <= tol.eq_abs * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))):
@@ -328,17 +335,14 @@ def _extract_canonical(ch: Channel, basis: np.ndarray, tol: Tolerance) -> Canoni
     # each state u is the top eigenvector, phase-fixed as herm_eig fixes it
     states = _fix_phases(vecs[:, :, -1].T.copy()).T
 
-    groups: list[tuple[np.ndarray, list[np.ndarray]]] = []
-    for u, v in zip(states, vs):
-        for gu, members in groups:
-            if _same_state(gu, u, tol):
-                members.append(v)
-                break
-        else:
-            groups.append((u, [v]))
+    # members of each group, keyed by the index of the group's first state
+    groups: dict[int, list[np.ndarray]] = {}
+    for i, v in enumerate(vs):
+        j = next((j for j in groups if _same_state(states[j], states[i], tol)), i)
+        groups.setdefault(j, []).append(v)
     blocks = tuple(
-        (gu, sum(np.outer(v, v.conj()) for v in members))
-        for gu, members in groups
+        (states[j], sum(np.outer(v, v.conj()) for v in members))
+        for j, members in groups.items()
     )
     form = CanonicalEBForm(ch.d1, ch.d2, blocks)
     dev = _choi_deviation(ch, reconstruct(form))
@@ -582,9 +586,9 @@ def rn_derivative(
     phi, r = _dominated_barycenter(canonical, psi, tol)
     _positive_contraction_eig(r, "barycenter Psi(I)", tol)
 
-    for p in canonical.projections:
-        if max_abs(r @ p - p @ r) > 100 * tol.eq_abs:
-            raise VerificationFailed("Psi(I) does not commute with the range of Phi")
+    ps = np.array(canonical.projections)
+    if max_abs(r @ ps - ps @ r) > 100 * tol.eq_abs:
+        raise VerificationFailed("Psi(I) does not commute with the range of Phi")
 
     residual = _choi_deviation(psi, phi, right=r)
     if residual > 100 * tol.eq_abs:
@@ -700,8 +704,12 @@ def unitary_equivalent(
     """Whether two canonical forms differ by a unitary: b = Ad_U a.
 
     Equivalence requires a bijection between blocks matching pure states and
-    projection ranks; the witness U is assembled block by block from range
-    bases and verified against both channels before being returned.
+    projection ranks, and one is found whatever the order of the blocks:
+    each block of a takes the first free block of b that matches it, and a
+    block left without one takes a match from an earlier block of a that can
+    move to another (an augmenting path). The witness U is assembled block
+    by block from range bases and verified against both channels before
+    being returned.
     """
     if (a.d1, a.d2) != (b.d1, b.d2):
         raise DimensionMismatch("canonical forms have different dimensions")
@@ -709,24 +717,24 @@ def unitary_equivalent(
     _check_form_invariants(b, tol)
     if a.n_blocks != b.n_blocks:
         return EquivalenceCheck(equivalent=False, witness_unitary=None)
-    ranks_a = a.block_ranks()
-    ranks_b = b.block_ranks()
-    matched: list[tuple[int, int]] = []
-    used = set()
-    for i, (ua, _) in enumerate(a.blocks):
-        found = None
-        for j, (ub, _) in enumerate(b.blocks):
-            if j in used:
-                continue
-            if _same_state(ua, ub, tol) and ranks_a[i] == ranks_b[j]:
-                found = j
-                break
-        if found is None:
-            return EquivalenceCheck(equivalent=False, witness_unitary=None)
-        used.add(found)
-        matched.append((i, found))
+    ranks_a, ranks_b = a.block_ranks(), b.block_ranks()
+    owner: dict[int, int] = {}  # each matched block of b -> its block of a
+
+    def assign(i: int, tried: set[int]) -> bool:
+        # the free blocks of b first, in order; then a taken one whose owner can move on
+        ua, rank = a.blocks[i][0], ranks_a[i]
+        for j in sorted(range(b.n_blocks), key=owner.__contains__):
+            if j not in tried and ranks_b[j] == rank and _same_state(ua, b.blocks[j][0], tol):
+                tried.add(j)
+                if j not in owner or assign(owner[j], tried):
+                    owner[j] = i
+                    return True
+        return False
+
+    if not all(assign(i, set()) for i in range(a.n_blocks)):
+        return EquivalenceCheck(equivalent=False, witness_unitary=None)
     u = np.zeros((a.d2, a.d2), dtype=complex)
-    for i, j in matched:
+    for j, i in owner.items():
         # the leading eigenvectors of a projection span its range
         qa = herm_eig(a.projections[i], tol)[1][:, :ranks_a[i]]
         qb = herm_eig(b.projections[j], tol)[1][:, :ranks_b[j]]

@@ -364,6 +364,26 @@ def test_structure_violations_are_caught():
         rn_derivative(incomplete, psi)
 
 
+def test_form_shapes_are_checked_at_construction():
+    # a 3-entry state in an M2 -> M2 form, alone or as the second block, and a
+    # 3 x 3 projection: each is refused as the form is built
+    long_state = np.array([1.0, 0.0, 0.0], dtype=complex)
+    malformed = [
+        ((long_state, unit(2, 0, 0)), (E2[:, 1], unit(2, 1, 1))),
+        ((E2[:, 0], unit(2, 0, 0)), (long_state, unit(2, 1, 1))),
+        ((E2[:, 0], E3),),
+    ]
+    for blocks in malformed:
+        with pytest.raises(DimensionMismatch, match="^block shapes do not match d1=2, d2=2$"):
+            CanonicalEBForm(2, 2, blocks)
+    with pytest.raises(DimensionMismatch):
+        CanonicalEBForm(0, 2, ())
+    # a column-vector state has d1 entries and is kept
+    column = CanonicalEBForm(2, 2, ((E2[:, :1], unit(2, 0, 0)), (E2[:, 1:], unit(2, 1, 1))))
+    assert _choi_deviation(reconstruct(column), reconstruct(pinching_form())) == 0.0
+    assert unitary_equivalent(column, column).equivalent
+
+
 class _ZeroFirstDraws:
     """A generator whose first ``n_zero`` standard_normal draws are all zeros."""
 
@@ -1033,6 +1053,18 @@ def test_equivalence_survives_block_permutation():
     flipped = CanonicalEBForm(3, 3, form.blocks[::-1])
     check = unitary_equivalent(form, flipped)
     assert check.equivalent
+    # a's first state is within the same-state bound (1e-8) of both of b's
+    # states, a's second only of b's first: when a's first takes b's first
+    # block, a's second is stranded until a's first moves on to b's second
+    def e(t):
+        return np.array([np.cos(t), np.sin(t)], dtype=complex)
+
+    a = CanonicalEBForm(2, 2, ((e(0.0), unit(2, 0, 0)), (e(1.2e-8), unit(2, 1, 1))))
+    b = ((e(0.6e-8), unit(2, 1, 1)), (e(-0.9e-8), unit(2, 0, 0)))
+    checks = [unitary_equivalent(a, CanonicalEBForm(2, 2, blocks)) for blocks in (b, b[::-1])]
+    assert all(c.equivalent for c in checks)
+    assert np.array_equal(checks[0].witness_unitary, checks[1].witness_unitary)
+    assert max_abs(checks[0].witness_unitary - E2) <= 1e-12
 
 
 def test_equivalence_under_conjugated_projections():

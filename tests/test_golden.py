@@ -19,15 +19,21 @@ import re
 
 import pytest
 
+from ebx import channel_to_json
 from golden.regenerate import (
+    CLOSE_STATES_INPUT,
     COMMANDS,
     COMMANDS_RECORD,
     INPUTS,
+    NEGATED_TERM_INPUT,
     OTHER_COMMANDS,
     OUTPUTS,
     RANDOM_KINDS,
     RANDOM_SEED,
     RANDOM_SHAPES,
+    _non_eb_inputs,
+    close_states_channel,
+    negated_term_pinching_channel,
     record,
     record_command,
     run_cli,
@@ -125,6 +131,23 @@ def test_random_reproduces_golden_input(kind, d1, d2):
     assert (got["exit_code"], got["stderr"]) == (0, "")
     path = INPUTS / f"random.{kind}.{d1}x{d2}.seed{RANDOM_SEED}.json"
     assert_matches(json.loads(got["stdout"]), json.loads(path.read_text(encoding="utf-8")))
+
+
+def test_constructed_inputs_reproduce_golden_inputs(tmp_path):
+    # the 22 inputs that are not `ebx random` draws: the gallery's files and
+    # the channels regenerate.py builds; a change to their builders shows here
+    gallery = run_cli(["gallery", "--all", "--emit", str(tmp_path)])
+    assert (gallery["exit_code"], gallery["stderr"]) == (0, "")
+    built = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in tmp_path.glob("*.json")}
+    channels = {
+        **_non_eb_inputs(),
+        CLOSE_STATES_INPUT: close_states_channel(2, 2, 1e-12)[0],
+        NEGATED_TERM_INPUT: negated_term_pinching_channel(),
+    }
+    built.update((name, json.loads(json.dumps(channel_to_json(ch)))) for name, ch in channels.items())
+    assert len(built) == 22 and set(built) <= set(NAMES)
+    for name, doc in built.items():
+        assert_matches(doc, json.loads((INPUTS / name).read_text(encoding="utf-8")), name)
 
 
 def test_detail_numbers_compare_as_floats():
